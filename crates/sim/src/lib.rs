@@ -79,7 +79,4 @@ pub use replay::{
     FaultEvent, FaultStats, IssueMode, ReplayConfig, ReplayOutcome, RetryPolicy, Schedule,
     ScheduledOp, StreamReplay, StreamedReplay,
 };
-pub use shard::{
-    quiescent_cuts, replay_into_sharded, replay_records_sharded, replay_sharded,
-    replay_source_into_sharded,
-};
+pub use shard::{quiescent_cuts, replay_into_sharded, replay_records_sharded, replay_sharded};

@@ -45,16 +45,15 @@
 //! completions), a model without the snapshot contract, a single worker,
 //! a nested fan-out, or a schedule with no usable cuts (saturated traces).
 
-use tt_device::{BlockDevice, IoRequest, ServiceOutcome};
+use tt_device::{BlockDevice, ServiceOutcome};
 use tt_trace::sink::{ChunkBuffer, RecordSink};
-use tt_trace::source::RecordSource;
 use tt_trace::time::{SimDuration, SimInstant};
 use tt_trace::{BlockRecord, Trace, TraceError, TraceMeta};
 
 use crate::collector::Collector;
 use crate::replay::{
-    drive, replay, replay_into, replay_records, replay_source_into, FaultEvent, FaultStats,
-    IssueMode, ReplayConfig, ReplayOutcome, Schedule, ScheduledOp, StreamReplay, StreamedReplay,
+    drive, replay, replay_into, replay_records, FaultEvent, FaultStats, ReplayConfig,
+    ReplayOutcome, Schedule, ScheduledOp, StreamedReplay,
 };
 
 /// Replayed (record, outcome) pairs, as the sharded core stitches them.
@@ -400,94 +399,12 @@ where
     }
 }
 
-/// Sharded [`replay_source_into`]: same source-to-sink contract and
-/// record-identical output, with the device simulation fanned out across
-/// workers when the replay can shard.
-///
-/// Unlike the fully-streaming sequential path, the sharded path first
-/// **collects the source's records** (cut detection needs the whole
-/// schedule) — the memory caveat mirrors mid-chain reconstruction, which
-/// also collects its input. Every fallback condition (closed-loop mode,
-/// one worker, nested fan-out, no snapshot contract) is detected *before*
-/// collecting and delegates to the streaming [`replay_source_into`]
-/// unchanged; only "no usable cuts" is discovered after, in which case
-/// the collected schedule replays sequentially, still chunk-streamed into
-/// the sink.
-///
-/// # Errors
-///
-/// Propagates source and sink [`TraceError`]s, and rejects unordered
-/// open-loop input like [`replay_source_into`].
-pub fn replay_source_into_sharded<D, S>(
-    device: &mut D,
-    source: &mut S,
-    style: StreamReplay,
-    chunk: usize,
-    config: ReplayConfig,
-    sink: &mut dyn RecordSink,
-) -> Result<StreamedReplay, TraceError>
-where
-    D: BlockDevice + ?Sized,
-    S: RecordSource + ?Sized,
-{
-    let StreamReplay::OpenLoop { time_scale } = style else {
-        return replay_source_into(device, source, style, chunk, config, sink);
-    };
-    if tt_par::threads() <= 1 || tt_par::in_worker() || device.snapshot().is_none() {
-        return replay_source_into(device, source, style, chunk, config, sink);
-    }
-    assert!(
-        time_scale.is_finite() && time_scale >= 0.0,
-        "time scale must be finite and non-negative, got {time_scale}"
-    );
-
-    // Collect the open-loop schedule, converting exactly as the streaming
-    // replay converts (same gap math, same disorder rejection).
-    let chunk = chunk.max(1);
-    let mut ops: Vec<ScheduledOp> = Vec::new();
-    let mut buf: Vec<BlockRecord> = Vec::with_capacity(chunk);
-    let mut prev_arrival: Option<SimInstant> = None;
-    let mut index = 0usize;
-    loop {
-        buf.clear();
-        if source.next_chunk(&mut buf, chunk)? == 0 {
-            break;
-        }
-        for rec in &buf {
-            if let Some(prev) = prev_arrival {
-                if rec.arrival < prev {
-                    return Err(TraceError::invalid_record(
-                        index,
-                        format!(
-                            "streamed replay needs arrival order: {} precedes {prev}",
-                            rec.arrival
-                        ),
-                    ));
-                }
-            }
-            let gap = match prev_arrival {
-                Some(prev) => rec.arrival - prev,
-                None => SimDuration::ZERO,
-            };
-            prev_arrival = Some(rec.arrival);
-            ops.push(ScheduledOp {
-                pre_delay: gap.mul_f64(time_scale),
-                request: IoRequest::from(rec),
-                mode: IssueMode::Async,
-            });
-            index += 1;
-        }
-    }
-
-    replay_into_sharded(device, ops, config, sink, chunk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::replay_source_into;
+    use crate::replay::{replay_source_into, IssueMode, StreamReplay};
     use tt_device::{
-        presets, FlashArray, FlashConfig, FlashSsd, HddConfig, HddDevice, LinearDevice,
+        presets, FlashArray, FlashConfig, FlashSsd, HddConfig, HddDevice, IoRequest, LinearDevice,
         LinearDeviceConfig,
     };
     use tt_trace::sink::TraceSink;
@@ -665,20 +582,10 @@ mod tests {
                 )
                 .unwrap();
                 assert_eq!(sharded, seq, "chunk={chunk} w={workers}");
-                assert_eq!(sink.into_trace(), seq_trace);
-
-                let mut src_sink = TraceSink::new(TraceMeta::named("seq"));
-                let sharded_src = replay_source_into_sharded(
-                    &mut device(),
-                    &mut VecSource::new(trace.records().to_vec()),
-                    StreamReplay::OpenLoop { time_scale: 1.0 },
-                    chunk,
-                    ReplayConfig::default(),
-                    &mut src_sink,
-                )
-                .unwrap();
-                assert_eq!(sharded_src, seq_src, "source chunk={chunk} w={workers}");
-                assert_eq!(src_sink.into_trace(), seq_src_trace);
+                assert_eq!(sharded, seq_src, "source chunk={chunk} w={workers}");
+                let sharded_trace = sink.into_trace();
+                assert_eq!(sharded_trace, seq_trace);
+                assert_eq!(sharded_trace, seq_src_trace);
             }
         }
         tt_par::set_threads(0);

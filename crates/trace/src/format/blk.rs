@@ -28,6 +28,7 @@ use std::collections::VecDeque;
 use std::io::{BufRead, Write};
 
 use crate::error::TraceError;
+use crate::format::csv::U64_LIMIT;
 use crate::op::OpType;
 use crate::record::{BlockRecord, ServiceTiming};
 use crate::sink::{drain_trace, RecordSink};
@@ -340,6 +341,13 @@ impl ParsedLine {
         if !secs.is_finite() || secs < 0.0 {
             return Err(TraceError::parse_at("time must be non-negative", lineno));
         }
+        let ns = (secs * 1e9).round();
+        if ns >= U64_LIMIT {
+            return Err(TraceError::parse_at(
+                format!("time {:?} overflows u64 nanoseconds", fields[3]),
+                lineno,
+            ));
+        }
         let action = fields[5]
             .chars()
             .next()
@@ -358,7 +366,7 @@ impl ParsedLine {
             return Err(TraceError::parse_at("sectors must be non-zero", lineno));
         }
         Ok(ParsedLine {
-            time: SimInstant::from_nanos((secs * 1e9).round() as u64),
+            time: SimInstant::from_nanos(ns as u64),
             action,
             op,
             lba,
@@ -435,6 +443,17 @@ mod tests {
     fn malformed_line_is_error() {
         let err = read_blk("not a blkparse line\n".as_bytes(), "x").unwrap_err();
         assert!(err.to_string().contains("line 1"));
+    }
+
+    #[test]
+    fn out_of_range_time_is_error() {
+        let text = "8,0 0 1 0.5 1 Q R 64 + 8\n8,0 0 2 1e300 1 Q W 8 + 8\n";
+        let err = read_blk(text.as_bytes(), "x").unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
+        assert!(err.to_string().contains("overflows"), "{err}");
+        // The largest whole second that still fits loads.
+        let t = read_blk("8,0 0 1 18446744073 1 Q R 64 + 8\n".as_bytes(), "x").unwrap();
+        assert!(t.get(0).unwrap().arrival.as_nanos() > 18_446_744_072_000_000_000);
     }
 
     #[test]

@@ -13,11 +13,38 @@
 //!   (present for `Tsdev`-known traces, both or neither).
 //!
 //! Lines starting with `#` and blank lines are ignored. The writer emits a
-//! commented header.
+//! commented header. A timestamp whose nanoseconds do not fit in `u64`
+//! is a parse error, never a saturated value.
+//!
+//! # Integer-exact codec
+//!
+//! Timestamps are stored as integer nanoseconds, so both directions skip
+//! the `f64` round trip whenever it cannot change the result:
+//!
+//! * **Decode.** A line whose fields are all canonical — a timestamp of
+//!   the form `digits{1,12}[.digits{1,3}]`, an op of exactly `R` or `W`,
+//!   decimal `lba`/`sectors` that fit their types with non-zero sectors,
+//!   and (with timing) completion no earlier than issue — converts straight
+//!   to integers. Every other line (whitespace, `+`, exponents, more than
+//!   3 fraction digits, 13+ integer digits, `r`/`read`, zero sectors,
+//!   inverted timing, comments, blanks) takes the general `f64` parser,
+//!   which owns every error message and line number. The two paths agree
+//!   on every canonical line: its timestamps are below 10^15 ns, where
+//!   `(f64 parse × 1000).round()` lands within 0.2 ns of the exact value
+//!   (the parsed µs value is off by at most 2^-14 µs, about 0.06 ns, and
+//!   rounding the product adds at most 2^-4 ns), so it rounds to it.
+//! * **Encode.** Below 10^15 ns a timestamp is rendered as `ns / 1000`,
+//!   `.`, `ns % 1000` padded to 3 digits. There the `f64` quotient
+//!   `as_usecs_f64()` is within 2^-12 µs of exact — far from any
+//!   3-decimal rounding boundary — so this is byte-identical to
+//!   `{:.3}` of it. At or above the bound the writer keeps `{:.3}`. Each
+//!   chunk is rendered into one reused buffer and written with a single
+//!   `write_all`.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 
 use crate::error::TraceError;
+use crate::op::OpType;
 use crate::record::{BlockRecord, ServiceTiming};
 use crate::sink::{drain_trace, RecordSink};
 use crate::source::{collect_source, RecordSource, DEFAULT_CHUNK};
@@ -81,6 +108,7 @@ pub struct CsvSink<W> {
     writer: W,
     name: String,
     header_written: bool,
+    buf: Vec<u8>,
 }
 
 impl<W: Write> CsvSink<W> {
@@ -91,6 +119,7 @@ impl<W: Write> CsvSink<W> {
             writer,
             name: name.into(),
             header_written: false,
+            buf: Vec::new(),
         }
     }
 
@@ -115,28 +144,23 @@ impl<W: Write> CsvSink<W> {
 impl<W: Write> RecordSink for CsvSink<W> {
     fn push_chunk(&mut self, records: &[BlockRecord]) -> Result<(), TraceError> {
         self.ensure_header()?;
+        let buf = &mut self.buf;
+        buf.clear();
         for rec in records {
-            match rec.timing {
-                Some(t) => writeln!(
-                    self.writer,
-                    "{:.3},{},{},{},{:.3},{:.3}",
-                    rec.arrival.as_usecs_f64(),
-                    rec.op.code(),
-                    rec.lba,
-                    rec.sectors,
-                    t.issue.as_usecs_f64(),
-                    t.complete.as_usecs_f64(),
-                )?,
-                None => writeln!(
-                    self.writer,
-                    "{:.3},{},{},{}",
-                    rec.arrival.as_usecs_f64(),
-                    rec.op.code(),
-                    rec.lba,
-                    rec.sectors,
-                )?,
+            push_usecs(buf, rec.arrival);
+            buf.extend_from_slice(&[b',', rec.op.code() as u8, b',']);
+            push_uint(buf, rec.lba);
+            buf.push(b',');
+            push_uint(buf, u64::from(rec.sectors));
+            if let Some(t) = rec.timing {
+                buf.push(b',');
+                push_usecs(buf, t.issue);
+                buf.push(b',');
+                push_usecs(buf, t.complete);
             }
+            buf.push(b'\n');
         }
+        self.writer.write_all(buf)?;
         Ok(())
     }
 
@@ -200,7 +224,7 @@ pub fn read_csv<R: BufRead + Send>(r: R, name: &str) -> Result<Trace, TraceError
 #[derive(Debug)]
 pub struct CsvSource<R> {
     reader: R,
-    line: String,
+    line: Vec<u8>,
     lineno: usize,
 }
 
@@ -209,7 +233,7 @@ impl<R: BufRead> CsvSource<R> {
     pub fn new(reader: R) -> Self {
         CsvSource {
             reader,
-            line: String::new(),
+            line: Vec::new(),
             lineno: 0,
         }
     }
@@ -220,11 +244,25 @@ impl<R: BufRead + Send> RecordSource for CsvSource<R> {
         let mut appended = 0;
         while appended < max {
             self.line.clear();
-            if self.reader.read_line(&mut self.line)? == 0 {
+            if self.reader.read_until(b'\n', &mut self.line)? == 0 {
                 break;
             }
+            if let Some(rec) = parse_canonical(&self.line) {
+                self.lineno += 1;
+                out.push(rec);
+                appended += 1;
+                continue;
+            }
+            // Like `read_line`, a line that is not UTF-8 is an I/O error
+            // and does not count towards the line numbers.
+            let text = std::str::from_utf8(&self.line).map_err(|_| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                )
+            })?;
             self.lineno += 1;
-            let trimmed = self.line.trim();
+            let trimmed = text.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
@@ -284,13 +322,118 @@ fn parse_usecs(field: &str, what: &str, lineno: usize) -> Result<SimInstant, Tra
             lineno,
         ));
     }
-    Ok(SimInstant::from_nanos((us * 1_000.0).round() as u64))
+    let ns = (us * 1_000.0).round();
+    if ns >= U64_LIMIT {
+        return Err(TraceError::parse_at(
+            format!("{what} {field:?} overflows u64 nanoseconds"),
+            lineno,
+        ));
+    }
+    Ok(SimInstant::from_nanos(ns as u64))
+}
+
+/// 2^64 as `f64`: the smallest float whose conversion to `u64` would
+/// saturate.
+pub(crate) const U64_LIMIT: f64 = 18_446_744_073_709_551_616.0;
+
+/// Timestamps below this many nanoseconds take the integer codec; see the
+/// module docs for why it is exact there.
+const EXACT_NS: u64 = 1_000_000_000_000_000;
+
+/// Parses a line whose fields are all canonical (see the module docs)
+/// straight to integers, or returns `None` so the caller falls back to
+/// [`parse_line`]. `line` may still end in `\n` or `\r\n`.
+fn parse_canonical(line: &[u8]) -> Option<BlockRecord> {
+    let line = line.strip_suffix(b"\n").unwrap_or(line);
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    let mut fields = line.split(|&b| b == b',');
+    let arrival = canonical_usecs(fields.next()?)?;
+    let op = match fields.next()? {
+        b"R" => OpType::Read,
+        b"W" => OpType::Write,
+        _ => return None,
+    };
+    let lba = canonical_uint(fields.next()?)?;
+    let sectors = u32::try_from(canonical_uint(fields.next()?)?)
+        .ok()
+        .filter(|&s| s != 0)?;
+    let rec = BlockRecord::new(arrival, lba, sectors, op);
+    match (fields.next(), fields.next(), fields.next()) {
+        (None, _, _) => Some(rec),
+        (Some(issue), Some(complete), None) => {
+            let issue = canonical_usecs(issue)?;
+            let complete = canonical_usecs(complete)?;
+            (complete >= issue).then(|| rec.with_timing(ServiceTiming::new(issue, complete)))
+        }
+        _ => None,
+    }
+}
+
+/// A non-empty run of ASCII digits that fits in `u64`.
+fn canonical_uint(field: &[u8]) -> Option<u64> {
+    if field.is_empty() {
+        return None;
+    }
+    field.iter().try_fold(0u64, |acc, &b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        acc.checked_mul(10)?.checked_add(u64::from(digit))
+    })
+}
+
+/// A timestamp of the form `digits{1,12}[.digits{1,3}]`, in exact
+/// nanoseconds (always below [`EXACT_NS`]).
+fn canonical_usecs(field: &[u8]) -> Option<SimInstant> {
+    let (int, frac) = match field.iter().position(|&b| b == b'.') {
+        Some(dot) => (&field[..dot], &field[dot + 1..]),
+        None => (field, &b"000"[..]),
+    };
+    if int.len() > 12 || frac.is_empty() || frac.len() > 3 {
+        return None;
+    }
+    let scale = [100, 10, 1][frac.len() - 1];
+    let ns = canonical_uint(int)? * 1_000 + canonical_uint(frac)? * scale;
+    Some(SimInstant::from_nanos(ns))
+}
+
+/// Appends `ns` as fractional microseconds with 3 decimals — exactly what
+/// `{:.3}` of [`SimInstant::as_usecs_f64`] prints.
+fn push_usecs(buf: &mut Vec<u8>, t: SimInstant) {
+    let ns = t.as_nanos();
+    if ns >= EXACT_NS {
+        buf.extend_from_slice(format!("{:.3}", t.as_usecs_f64()).as_bytes());
+        return;
+    }
+    push_uint(buf, ns / 1_000);
+    let frac = ns % 1_000;
+    buf.extend_from_slice(&[
+        b'.',
+        b'0' + (frac / 100) as u8,
+        b'0' + (frac / 10 % 10) as u8,
+        b'0' + (frac % 10) as u8,
+    ]);
+}
+
+/// Appends `v` in decimal.
+fn push_uint(buf: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[start..]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::OpType;
     use crate::time::SimDuration;
 
     fn sample_trace() -> Trace {
@@ -336,6 +479,63 @@ mod tests {
     fn rejects_negative_timestamp() {
         let err = read_csv("-1.0,R,0,8\n".as_bytes(), "x").unwrap_err();
         assert!(err.to_string().contains("non-negative"));
+    }
+
+    #[test]
+    fn rejects_out_of_range_timestamps() {
+        for text in [
+            "1.0,R,0,8\n1e300,W,8,8\n",
+            "1.0,R,0,8\n2.0,W,8,8,3.0,18446744073709552\n",
+        ] {
+            let err = read_csv(text.as_bytes(), "x").unwrap_err();
+            assert!(err.to_string().contains("line 2"), "{err}");
+            assert!(err.to_string().contains("overflows"), "{err}");
+        }
+        // Just below 2^64 ns still loads.
+        let t = read_csv("18446744073709000,R,0,8\n".as_bytes(), "x").unwrap();
+        assert!(t.get(0).unwrap().arrival.as_nanos() > 18_446_744_073_000_000_000);
+    }
+
+    #[test]
+    fn canonical_and_general_parsers_agree() {
+        let lines = [
+            "0,R,0,1",
+            "7.5,W,18446744073709551615,4294967295",
+            "999999999999.999,R,1,8,999999999999.999,999999999999.999",
+            "000012.010,W,0010,08,13.1,14",
+            "1.0,R,0,8\r\n",
+        ];
+        for line in lines {
+            let fast = parse_canonical(line.as_bytes()).expect(line);
+            assert_eq!(fast, parse_line(line.trim(), 1).unwrap(), "{line}");
+        }
+        // Non-canonical spellings fall back to the general parser.
+        for line in [
+            " 1.0,R,0,8",
+            "+1.0,R,0,8",
+            "1e3,R,0,8",
+            "1.0001,R,0,8",
+            "1.,R,0,8",
+            ".5,R,0,8",
+            "1000000000000,R,0,8",
+            "1.0,r,0,8",
+            "1.0,R,+0,8",
+            "1.0,R,0,0",
+            "1.0,R,0,4294967296",
+            "1.0,R,18446744073709551616,8",
+            "1.0,R,0,8,5.0,2.0",
+            "1.0,R,0,8,",
+            "1.0,R,0,8,1.0",
+        ] {
+            assert_eq!(parse_canonical(line.as_bytes()), None, "{line}");
+        }
+    }
+
+    #[test]
+    fn non_utf8_line_is_an_io_error() {
+        let err = read_csv(&b"1.0,R,0,8\n\xff,R,0,8\n"[..], "x").unwrap_err();
+        assert!(matches!(err, TraceError::Io(_)), "{err}");
+        assert!(err.to_string().contains("UTF-8"), "{err}");
     }
 
     #[test]

@@ -9,9 +9,16 @@ use tt_trace::{
     ServiceTiming, Trace, TraceMeta, TraceStats,
 };
 
+/// Nanoseconds at or above this bound take the CSV codec's `f64`
+/// fallback.
+const CSV_EXACT_NS: u64 = 1_000_000_000_000_000;
+
 fn arb_record() -> impl Strategy<Value = BlockRecord> {
     (
-        0u64..10_000_000_000,
+        // Short traces, plus arrivals on both sides of the CSV codec's
+        // 10^15-ns bound (kept below 2^51 ns, where the `f64` fallback
+        // still round-trips exactly).
+        prop_oneof![0u64..10_000_000_000, 0u64..2 * CSV_EXACT_NS],
         0u64..1_000_000_000,
         1u32..2048,
         proptest::bool::ANY,
@@ -48,7 +55,153 @@ fn arb_timed_record() -> impl Strategy<Value = BlockRecord> {
         })
 }
 
+/// The timestamp parse the CSV reader used before its integer codec:
+/// `f64` microseconds, scaled and rounded to nanoseconds.
+fn f64_path_nanos(field: &str) -> u64 {
+    (field.trim().parse::<f64>().unwrap() * 1_000.0).round() as u64
+}
+
+/// A canonical CSV timestamp (`digits{1,12}[.digits{1,3}]`) or, with 13
+/// integer digits, the first spelling past the canonical form.
+fn arb_usecs_text() -> impl Strategy<Value = String> {
+    (1u32..14, 0u64..u64::MAX, 0u32..4, 0u64..1_000).prop_map(|(digits, raw, places, frac)| {
+        let low = if digits == 1 {
+            0
+        } else {
+            10u64.pow(digits - 1)
+        };
+        let int = low + raw % (10u64.pow(digits) - low);
+        match places {
+            0 => int.to_string(),
+            _ => format!(
+                "{int}.{:0width$}",
+                frac % 10u64.pow(places),
+                width = places as usize
+            ),
+        }
+    })
+}
+
+/// Nanosecond instants near zero, across the whole canonical range, and on
+/// both sides of the codec's 10^15-ns bound.
+fn arb_codec_nanos() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..10_000_000,
+        0u64..CSV_EXACT_NS,
+        CSV_EXACT_NS - 5_000..CSV_EXACT_NS + 5_000,
+        CSV_EXACT_NS..100 * CSV_EXACT_NS,
+        CSV_EXACT_NS..u64::MAX,
+    ]
+}
+
+/// Spellings the CSV reader accepts but the integer codec does not, each
+/// paired with the canonical spelling it must decode like.
+fn respell(line: &str, how: u64) -> String {
+    let mut fields: Vec<String> = line.split(',').map(str::to_string).collect();
+    match how {
+        0 => fields[0] = format!(" {}", fields[0]),
+        1 => fields[0] = format!("+{}", fields[0]),
+        2 => fields[0] = format!("{}e0", fields[0]),
+        3 => fields[0] = format!("{:.4}", fields[0].parse::<f64>().unwrap()),
+        4 => fields[1] = fields[1].to_lowercase(),
+        5 => fields[1] = if fields[1] == "R" { "read" } else { "write" }.to_string(),
+        6 => fields[2] = format!("+{}", fields[2]),
+        _ => fields[3] = format!("{}\t", fields[3]),
+    }
+    fields.join(",")
+}
+
 proptest! {
+    /// The CSV reader's integer codec decodes every canonical timestamp to
+    /// the nanoseconds the `f64` path gives, for 0-3 fraction digits and
+    /// 1-13 integer digits, in the arrival and both timing fields.
+    #[test]
+    fn csv_fast_decode_equals_f64_path(
+        arrival in arb_usecs_text(),
+        issue in arb_usecs_text(),
+        complete in arb_usecs_text(),
+    ) {
+        let line = format!("{arrival},W,7,8");
+        let trace = csv::read_csv(line.as_bytes(), "p").unwrap();
+        let rec = trace.get(0).unwrap();
+        prop_assert_eq!(rec.arrival.as_nanos(), f64_path_nanos(&arrival));
+
+        let timed = format!("{arrival},R,7,8,{issue},{complete}");
+        match csv::read_csv(timed.as_bytes(), "p") {
+            Ok(trace) => {
+                let t = trace.get(0).unwrap().timing.unwrap();
+                prop_assert_eq!(t.issue.as_nanos(), f64_path_nanos(&issue));
+                prop_assert_eq!(t.complete.as_nanos(), f64_path_nanos(&complete));
+            }
+            Err(e) => {
+                prop_assert!(f64_path_nanos(&complete) < f64_path_nanos(&issue));
+                prop_assert_eq!(
+                    e.to_string(),
+                    "parse error at line 1: completion precedes issue"
+                );
+            }
+        }
+    }
+
+    /// The CSV writer's integer codec prints exactly what `{:.3}` of the
+    /// `f64` microseconds prints, below, at and above the 10^15-ns bound.
+    #[test]
+    fn csv_fast_encode_equals_format(ns in arb_codec_nanos()) {
+        let t = SimInstant::from_nanos(ns);
+        let mut out = Vec::new();
+        let mut sink = csv::CsvSink::new(&mut out, "p");
+        tt_trace::RecordSink::push_chunk(
+            &mut sink,
+            &[BlockRecord::new(t, 0, 8, OpType::Read)
+                .with_timing(ServiceTiming::new(t, t))],
+        )
+        .unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let line = text.lines().last().unwrap();
+        let us = format!("{:.3}", t.as_usecs_f64());
+        prop_assert_eq!(line, format!("{us},R,0,8,{us},{us}"));
+    }
+
+    /// Non-canonical spellings take the general parser and decode to the
+    /// same record as the canonical spelling; invalid lines keep their
+    /// errors and line numbers.
+    #[test]
+    fn csv_noncanonical_spellings_decode_alike(
+        rec in arb_timed_record(),
+        how in 0u64..8,
+        lineno in 1usize..5,
+    ) {
+        let mut buf = Vec::new();
+        csv::write_csv(&Trace::from_records(TraceMeta::named("p"), vec![rec]), &mut buf)
+            .unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let canonical = text.lines().last().unwrap();
+        let padding = "# pad\n".repeat(lineno - 1);
+
+        let respelled = format!("{padding}{}\n", respell(canonical, how));
+        let back = csv::read_csv(respelled.as_bytes(), "p").unwrap();
+        let fast = csv::read_csv(canonical.as_bytes(), "p").unwrap();
+        prop_assert_eq!(back.records(), fast.records());
+        if rec.arrival.as_nanos() < CSV_EXACT_NS {
+            prop_assert_eq!(fast.records(), &[rec][..]);
+        }
+
+        let fields: Vec<&str> = canonical.split(',').collect();
+        let zero = format!("{padding}{},{},{},0\n", fields[0], fields[1], fields[2]);
+        let err = csv::read_csv(zero.as_bytes(), "p").unwrap_err();
+        prop_assert_eq!(
+            err.to_string(),
+            format!("parse error at line {lineno}: sectors must be non-zero")
+        );
+        let inverted = format!("{padding}{},{},{},{},2.000,1.999\n",
+            fields[0], fields[1], fields[2], fields[3]);
+        let err = csv::read_csv(inverted.as_bytes(), "p").unwrap_err();
+        prop_assert_eq!(
+            err.to_string(),
+            format!("parse error at line {lineno}: completion precedes issue")
+        );
+    }
+
     /// from_records produces arrival-sorted traces for any input order.
     #[test]
     fn from_records_always_sorted(recs in prop::collection::vec(arb_record(), 0..200)) {

@@ -105,9 +105,7 @@ use tt_core::{
 use tt_device::BlockDevice;
 use tt_par::bounded::{self, ChannelProbe};
 use tt_par::telemetry::{ChannelStats, FlightRecorder};
-use tt_sim::{
-    replay_into_sharded, replay_source_into_sharded, ReplayConfig, Schedule, StreamReplay,
-};
+use tt_sim::{replay_into_sharded, replay_source_into, ReplayConfig, Schedule, StreamReplay};
 use tt_trace::sink::{drain_trace, RecordSink, SinkStats};
 use tt_trace::source::{collect_source, RecordSource, DEFAULT_CHUNK};
 use tt_trace::time::SimDuration;
@@ -327,14 +325,18 @@ impl<'env> Pipeline<'env> {
     /// sequential runs are bit-identical — the knob trades cores for
     /// wall-clock only.
     ///
-    /// With more than one worker, an open-loop replay stage shards: the
-    /// schedule is split at quiescent cuts and the partitions replay
-    /// concurrently on per-partition device snapshots
-    /// ([`tt_sim::replay_sharded`]), producing the exact records, stats
-    /// and makespan of the sequential replay. Schedules or devices that
-    /// cannot shard (closed-loop, saturated arrivals, models without the
-    /// snapshot contract) run sequentially — same output either way, so
-    /// the knob never changes results, including inside fused chains.
+    /// With more than one worker, an open-loop replay stage that reads a
+    /// materialised trace — a chain's first stage, or any stage under
+    /// [`Pipeline::materialize`] — shards: the schedule is split at
+    /// quiescent cuts and the partitions replay concurrently on
+    /// per-partition device snapshots ([`tt_sim::replay_sharded`]),
+    /// producing the exact records, stats and makespan of the sequential
+    /// replay. Schedules or devices that cannot shard (closed-loop,
+    /// saturated arrivals, models without the snapshot contract) run
+    /// sequentially. A fused replay stage fed by an upstream stage never
+    /// shards: it streams its channel record by record
+    /// ([`tt_sim::replay_source_into`]), overlapping the stage before it.
+    /// Output is the same either way, so the knob never changes results.
     ///
     /// The cap is applied via [`tt_par::set_threads`] when the pipeline
     /// executes and, like the CLI's `--parallel` flag, it is
@@ -1082,7 +1084,7 @@ fn run_stage_streamed(
             mode,
             config,
         } => {
-            let out = replay_source_into_sharded(device, source, mode, chunk, config, sink)?;
+            let out = replay_source_into(device, source, mode, chunk, config, sink)?;
             Ok(out.stats)
         }
     }

@@ -155,40 +155,87 @@ proptest! {
     }
 }
 
+/// A terminal sink that notes how many chunks had crossed the probed
+/// stage boundary when the first record reached it.
+struct FirstPushWitness {
+    probe: Arc<ChannelProbe>,
+    chunks_at_first_push: Option<usize>,
+    records: usize,
+}
+
+impl RecordSink for FirstPushWitness {
+    fn push_chunk(&mut self, records: &[BlockRecord]) -> Result<(), TraceError> {
+        self.chunks_at_first_push.get_or_insert(self.probe.chunks());
+        self.records += records.len();
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Result<(), TraceError> {
+        Ok(())
+    }
+
+    fn sink_name(&self) -> &str {
+        "first-push witness"
+    }
+}
+
 /// The "never a second trace" witness: across a fused chain the channel
 /// probe sees many chunks flow but never more than the channel capacity
 /// in flight, so peak intermediate buffering is `capacity × chunk`
-/// records — independent of the trace length.
+/// records — independent of the trace length. The replay stage also
+/// streams: its first records reach the terminal after a few chunks, not
+/// after the whole stream, in both modes and at every worker count.
 #[test]
 fn fused_chain_bounds_intermediate_buffering() {
     let old = old_trace();
     let chunk = 16; // 600 records -> ~38 chunks through the boundary
-    let probe = Arc::new(ChannelProbe::new());
-    let mut d1 = presets::intel_750_array();
-    let mut d2 = presets::intel_750_array();
-    let out = Pipeline::from_trace_ref(old)
-        .chunk_size(chunk)
-        .channel_probe(&probe)
-        .reconstruct(&mut d1, TraceTracker::new())
-        .replay(&mut d2, StreamReplay::ClosedLoop)
-        .collect()
-        .unwrap();
-    assert_eq!(out.len(), old.len());
+    let modes = [
+        StreamReplay::ClosedLoop,
+        StreamReplay::OpenLoop { time_scale: 1.0 },
+    ];
+    for mode in modes {
+        for workers in [1usize, 2] {
+            let label = format!("{mode:?} w={workers}");
+            let probe = Arc::new(ChannelProbe::new());
+            let mut d1 = presets::intel_750_array();
+            let mut d2 = presets::intel_750_array();
+            let mut witness = FirstPushWitness {
+                probe: Arc::clone(&probe),
+                chunks_at_first_push: None,
+                records: 0,
+            };
+            chain(old, &mut d1, &mut d2, mode, chunk, workers)
+                .channel_probe(&probe)
+                .write_to(&mut witness)
+                .unwrap();
+            assert_eq!(witness.records, old.len(), "{label}");
 
-    let min_chunks = old.len() / chunk;
-    assert!(
-        probe.chunks() >= min_chunks,
-        "expected >= {min_chunks} chunks through the boundary, saw {}",
-        probe.chunks()
-    );
-    assert!(
-        probe.peak_depth() <= FUSED_CHANNEL_CHUNKS,
-        "peak depth {} exceeded the channel capacity {FUSED_CHANNEL_CHUNKS}",
-        probe.peak_depth()
-    );
-    // The bound is what makes this streaming: peak in-flight records are a
-    // small constant multiple of the chunk size, far below the stream.
-    assert!(probe.peak_depth() * chunk < old.len() / 2);
+            let min_chunks = old.len() / chunk;
+            assert!(
+                probe.chunks() >= min_chunks,
+                "{label}: expected >= {min_chunks} chunks through the boundary, saw {}",
+                probe.chunks()
+            );
+            assert!(
+                probe.peak_depth() <= FUSED_CHANNEL_CHUNKS,
+                "{label}: peak depth {} exceeded the channel capacity {FUSED_CHANNEL_CHUNKS}",
+                probe.peak_depth()
+            );
+            // The bound is what makes this streaming: peak in-flight records
+            // are a small constant multiple of the chunk size, far below the
+            // stream.
+            assert!(probe.peak_depth() * chunk < old.len() / 2, "{label}");
+            // Backpressure keeps the producer within the channel capacity
+            // (plus the chunks in the consumer's hands) of the terminal.
+            let first = witness.chunks_at_first_push.unwrap();
+            assert!(
+                first <= FUSED_CHANNEL_CHUNKS + 2,
+                "{label}: {first} of {} chunks had crossed before the first terminal push",
+                probe.chunks()
+            );
+        }
+    }
+    tt_par::set_threads(0);
 }
 
 /// A three-stage chain exercises a worker-to-worker channel boundary
