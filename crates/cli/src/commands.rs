@@ -36,9 +36,9 @@ fn mmap_flag(args: &Args) -> Result<bool, ArgError> {
 /// Applies the shared pipeline knobs and returns the streaming chunk size
 /// plus whether `--parallel auto` asked for knob autotuning.
 ///
-/// `--parallel N` caps the worker threads used by grouping/inference and
-/// by sharded open-loop replay (`0` = default: the `TT_THREADS`
-/// environment variable, else all cores; `1` = sequential); `--parallel
+/// `--parallel N` caps the worker threads used by grouping/inference
+/// (`0` = default: the `TT_THREADS` environment variable, else all cores;
+/// `1` = sequential; replay always runs the sequential core); `--parallel
 /// auto` uses all cores **and** lets the pipeline tune its remaining
 /// knobs ([`Pipeline::auto`]); `--chunk-size N` sets the records per
 /// streamed read chunk. Every setting produces bit-identical results —
@@ -446,11 +446,8 @@ pub fn reconstruct(args: &Args) -> Result<(), ArgError> {
 /// per-stream service latency next to the merged totals. `--out` writes
 /// the merged serviced trace (format by extension).
 ///
-/// With more than one worker (`--parallel N`, defaulting through
-/// `TT_THREADS`), a single-stream open-loop replay **shards**: the
-/// schedule splits at quiescent cuts and partitions replay concurrently
-/// ([`replay_sharded`](tracetracker::sim::replay_sharded) via the
-/// pipeline's replay stage), bit-identical to the sequential run.
+/// Replay runs the sequential replay core at every `--parallel` setting,
+/// so the knob never changes the output, with or without a fault plan.
 pub fn replay_cmd(args: &Args) -> Result<(), ArgError> {
     if args.positional_count() == 0 {
         return Err(ArgError(

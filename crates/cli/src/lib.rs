@@ -64,10 +64,10 @@ COMMANDS:
                 run the resident analysis daemon (see `serve --help`)
 
 Trace-consuming commands also take the pipeline knobs
-    --parallel N      worker threads for grouping/inference and for
-                      sharded open-loop replay (0 = default: TT_THREADS
-                      or all cores; 1 = sequential; bit-identical results
-                      at every count)
+    --parallel N      worker threads for grouping/inference (0 =
+                      default: TT_THREADS or all cores; 1 = sequential;
+                      bit-identical results at every count; replay is
+                      always sequential)
     --parallel auto   use all cores AND let the pipeline tune its own
                       chunk size and channel capacity from a calibration
                       prefix (explicit --chunk-size still wins; outputs

@@ -307,8 +307,6 @@ mod tests {
         // Emulate by hand (replay with the inferred idle schedule), apply
         // the reference restoration, and check the streamed TraceTracker
         // path lands on the same trace bit for bit.
-        use tt_sim::replay_records;
-
         let old = old_trace(400, 9);
         let config = InferenceConfig::default();
 
@@ -316,13 +314,14 @@ mod tests {
         let decomp = software_evaluation(&old, &mut dev, &config);
         let mut emulated_records = Vec::new();
         let mut slats = Vec::new();
-        replay_records(
+        let Ok(_) = try_replay_records(
             &mut dev,
             idle_schedule(&old, &decomp.tidle),
             ReplayConfig::default(),
             |rec, outcome| {
                 emulated_records.push(rec);
                 slats.push(outcome.slat());
+                Ok::<(), std::convert::Infallible>(())
             },
         );
         let emulated = Trace::from_records(

@@ -10,14 +10,26 @@
 //!   paper's sync/async request semantics (Fig 2b);
 //! * [`replay`] — executes a schedule on a device, producing a collected
 //!   trace plus per-request [`ServiceOutcome`](tt_device::ServiceOutcome)s;
-//! * [`replay_records`] / [`replay_into`] — the same replay as a *stream*:
-//!   records are visited, or pushed into any
-//!   [`RecordSink`](tt_trace::RecordSink), the moment the device produces
-//!   them — the adapter the `tracetracker::Pipeline` replay stage and the
-//!   streaming reconstruction paths in `tt-core` run on;
+//! * [`try_replay_records`] / [`replay_into`] / [`replay_source_into`] —
+//!   the same replay as a *stream*: records are visited, or pushed into
+//!   any [`RecordSink`](tt_trace::RecordSink), the moment the device
+//!   produces them, with the ops coming from an iterator or straight off a
+//!   [`RecordSource`](tt_trace::RecordSource) — the adapters the
+//!   `tracetracker::Pipeline` replay stage and the streaming
+//!   reconstruction paths in `tt-core` run on;
+//! * [`replay_concurrent`] / [`replay_concurrent_sources`] — several
+//!   streams sharing one device on the discrete-event engine;
 //! * [`Collector`] — blktrace-style Q/D/C record assembly;
-//! * [`replay_sharded`] and friends — the same replays fanned across CPU
-//!   cores at **quiescent cuts**, bit-identical to sequential.
+//! * [`replay_sharded`] — the same replay fanned across CPU cores at
+//!   **quiescent cuts**, bit-identical to sequential. No library path
+//!   calls it; it stays as the benchmark's measured alternative to the
+//!   sequential core.
+//!
+//! Every single-stream entry point runs **one** issue/retry loop, so the
+//! paper's issue rule (a sync request waits for its predecessor's
+//! completion, an async one follows its predecessor's issue) and the
+//! retry/backoff semantics are defined once: a streamed replay equals the
+//! schedule replay of the same trace on clean and faulty devices alike.
 //!
 //! ## Parallel replay correctness (quiescent cuts)
 //!
@@ -75,8 +87,7 @@ pub use engine::Engine;
 pub use queue::EventQueue;
 pub use replay::{
     replay, replay_concurrent, replay_concurrent_sources, replay_concurrent_tagged, replay_into,
-    replay_records, replay_source, replay_source_into, try_replay_records, ConcurrentOutcome,
-    FaultEvent, FaultStats, IssueMode, ReplayConfig, ReplayOutcome, RetryPolicy, Schedule,
-    ScheduledOp, StreamReplay, StreamedReplay,
+    replay_source_into, try_replay_records, ConcurrentOutcome, FaultEvent, FaultStats, IssueMode,
+    ReplayConfig, ReplayOutcome, RetryPolicy, Schedule, ScheduledOp, StreamReplay, StreamedReplay,
 };
-pub use shard::{quiescent_cuts, replay_into_sharded, replay_records_sharded, replay_sharded};
+pub use shard::{quiescent_cuts, replay_sharded};

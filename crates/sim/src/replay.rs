@@ -15,6 +15,8 @@
 //! two different devices is the heart of the whole co-evaluation method:
 //! same user behaviour, different storage.
 
+use std::convert::Infallible;
+
 use serde::{Deserialize, Serialize};
 
 use tt_device::{BlockDevice, IoRequest, ServiceOutcome};
@@ -408,15 +410,15 @@ pub fn replay<D: BlockDevice + ?Sized>(
     let mut collector = Collector::new(config.record_device_timing);
     let mut outcomes: Vec<ServiceOutcome> = Vec::with_capacity(schedule.len());
     let mut faults = Vec::new();
-    let makespan = drive(
+    let Ok(makespan) = drive(
         device,
-        schedule.ops().iter().copied(),
+        schedule.ops().iter().copied().map(Ok::<_, Infallible>),
         config.retry,
         &mut faults,
         |arrival, request, outcome| {
             collector.observe(arrival, request, &outcome);
             outcomes.push(outcome);
-            std::ops::ControlFlow::Continue(())
+            Ok(())
         },
     );
     ReplayOutcome {
@@ -427,40 +429,49 @@ pub fn replay<D: BlockDevice + ?Sized>(
     }
 }
 
-/// The single-stream replay core: issues `ops` strictly in order, calling
-/// `visit(arrival, request, outcome)` per operation, and returns the
-/// makespan.
+/// The single-stream replay core — the one issue/retry loop every
+/// single-stream replay runs on: issues `ops` strictly in order, calling
+/// `visit(arrival, request, outcome)` per serviced operation, and returns
+/// the makespan.
 ///
 /// A single replay stream never has more than one pending event — the next
 /// operation's readiness depends only on its predecessor's issue/completion
 /// — so the discrete-event engine degenerates to this linear scan. Keeping
 /// it as a plain loop over an op *iterator* lets [`replay`] (whole
-/// schedule), [`replay_into`] (sink-streamed) and the streaming
+/// schedule), [`replay_into`] (sink-streamed), [`replay_source_into`]
+/// (record-source-streamed), the sharded partitions and the streaming
 /// reconstruction entry points in `tt-core` share one code path, emitting
 /// records as they are produced without materialising a [`Schedule`].
+///
+/// The op stream is fallible (a streamed source can fail mid-trace), and
+/// so is `visit` (a sink push can fail): the first `Err` from either
+/// **stops the simulation immediately** and is returned. Infallible
+/// callers pick [`Infallible`] as the error type.
+///
 /// Transient faults are retried per `retry`, with the backoff charged in
 /// simulated time by pushing the request's ready instant; give-ups (and
 /// retried-then-succeeded requests) are appended to `faults`. Because a
 /// retried request's successors chain off its **final** (post-backoff)
 /// issue instant, issue order stays monotone — backoff delays, but never
 /// reorders, completions.
-pub(crate) fn drive<D, I, F>(
+pub(crate) fn drive<D, I, E, F>(
     device: &mut D,
     ops: I,
     retry: RetryPolicy,
     faults: &mut Vec<FaultEvent>,
     mut visit: F,
-) -> SimDuration
+) -> Result<SimDuration, E>
 where
     D: BlockDevice + ?Sized,
-    I: IntoIterator<Item = ScheduledOp>,
-    F: FnMut(SimInstant, &IoRequest, ServiceOutcome) -> std::ops::ControlFlow<()>,
+    I: IntoIterator<Item = Result<ScheduledOp, E>>,
+    F: FnMut(SimInstant, &IoRequest, ServiceOutcome) -> Result<(), E>,
 {
     let mut makespan = SimDuration::ZERO;
     let mut prev_issue = SimInstant::ZERO;
     let mut prev_complete = SimInstant::ZERO;
     let mut first = true;
     for (index, op) in ops.into_iter().enumerate() {
+        let op = op?;
         let base = if first {
             SimInstant::ZERO
         } else {
@@ -498,13 +509,10 @@ where
                         gave_up: false,
                     });
                 }
-                let flow = visit(ready, &op.request, outcome);
+                visit(ready, &op.request, outcome)?;
                 makespan = makespan.max(complete - SimInstant::ZERO);
                 prev_issue = ready;
                 prev_complete = complete;
-                if flow.is_break() {
-                    break;
-                }
             }
             None => {
                 faults.push(FaultEvent {
@@ -522,7 +530,7 @@ where
             }
         }
     }
-    makespan
+    Ok(makespan)
 }
 
 /// Streaming replay over an op iterator: calls `visit` with each collected
@@ -532,40 +540,11 @@ where
 /// This is the visitor-shaped entry point the streaming reconstruction
 /// paths build on: no [`Schedule`], no intermediate [`Trace`] — each record
 /// can be transformed and pushed onwards the moment the simulated device
-/// produces it. For visitors that can fail (sink pushes), use
-/// [`try_replay_records`], which aborts the simulation on the first error.
-/// Per-request fault events are not surfaced here — use [`replay`] /
-/// [`replay_into`] when replaying against a fallible device.
-pub fn replay_records<D, I, F>(
-    device: &mut D,
-    ops: I,
-    config: ReplayConfig,
-    mut visit: F,
-) -> SimDuration
-where
-    D: BlockDevice + ?Sized,
-    I: IntoIterator<Item = ScheduledOp>,
-    F: FnMut(BlockRecord, ServiceOutcome),
-{
-    let mut faults = Vec::new();
-    drive(
-        device,
-        ops,
-        config.retry,
-        &mut faults,
-        |arrival, request, outcome| {
-            let record =
-                Collector::record_for(arrival, request, &outcome, config.record_device_timing);
-            visit(record, outcome);
-            std::ops::ControlFlow::Continue(())
-        },
-    )
-}
-
-/// Fallible [`replay_records`]: the first `Err` from `visit` **stops the
-/// simulation immediately** (no point servicing the rest of a multi-month
-/// trace once the consumer is broken) and is returned. On success, returns
-/// the makespan.
+/// produces it. The first `Err` from `visit` **stops the simulation
+/// immediately** (no point servicing the rest of a multi-month trace once
+/// the consumer is broken) and is returned. Per-request fault events are
+/// not surfaced here — use [`replay`] / [`replay_into`] when replaying
+/// against a fallible device.
 ///
 /// # Errors
 ///
@@ -574,23 +553,6 @@ pub fn try_replay_records<D, I, E, F>(
     device: &mut D,
     ops: I,
     config: ReplayConfig,
-    visit: F,
-) -> Result<SimDuration, E>
-where
-    D: BlockDevice + ?Sized,
-    I: IntoIterator<Item = ScheduledOp>,
-    F: FnMut(BlockRecord, ServiceOutcome) -> Result<(), E>,
-{
-    try_replay_records_faults(device, ops, config, &mut Vec::new(), visit)
-}
-
-/// [`try_replay_records`] that also appends per-request [`FaultEvent`]s to
-/// `faults` — the full-fidelity core [`replay_into`] builds on.
-fn try_replay_records_faults<D, I, E, F>(
-    device: &mut D,
-    ops: I,
-    config: ReplayConfig,
-    faults: &mut Vec<FaultEvent>,
     mut visit: F,
 ) -> Result<SimDuration, E>
 where
@@ -598,28 +560,17 @@ where
     I: IntoIterator<Item = ScheduledOp>,
     F: FnMut(BlockRecord, ServiceOutcome) -> Result<(), E>,
 {
-    let mut err: Option<E> = None;
-    let makespan = drive(
+    drive(
         device,
-        ops,
+        ops.into_iter().map(Ok),
         config.retry,
-        faults,
+        &mut Vec::new(),
         |arrival, request, outcome| {
             let record =
                 Collector::record_for(arrival, request, &outcome, config.record_device_timing);
-            match visit(record, outcome) {
-                Ok(()) => std::ops::ControlFlow::Continue(()),
-                Err(e) => {
-                    err = Some(e);
-                    std::ops::ControlFlow::Break(())
-                }
-            }
+            visit(record, outcome)
         },
-    );
-    match err {
-        Some(e) => Err(e),
-        None => Ok(makespan),
-    }
+    )
 }
 
 /// Outcome summary of a sink-streamed replay ([`replay_into`]).
@@ -652,11 +603,38 @@ where
     D: BlockDevice + ?Sized,
     I: IntoIterator<Item = ScheduledOp>,
 {
+    drive_into(device, ops.into_iter().map(Ok), config, sink, chunk)
+}
+
+/// [`drive`] into a sink, `chunk` records at a time — the shared body of
+/// [`replay_into`] and [`replay_source_into`].
+fn drive_into<D, I>(
+    device: &mut D,
+    ops: I,
+    config: ReplayConfig,
+    sink: &mut dyn RecordSink,
+    chunk: usize,
+) -> Result<StreamedReplay, TraceError>
+where
+    D: BlockDevice + ?Sized,
+    I: IntoIterator<Item = Result<ScheduledOp, TraceError>>,
+{
     let mut out = ChunkBuffer::new(sink, chunk);
     let mut faults = Vec::new();
-    let makespan = try_replay_records_faults(device, ops, config, &mut faults, |record, _| {
-        out.push(record)
-    })?;
+    let makespan = drive(
+        device,
+        ops,
+        config.retry,
+        &mut faults,
+        |arrival, request, outcome| {
+            out.push(Collector::record_for(
+                arrival,
+                request,
+                &outcome,
+                config.record_device_timing,
+            ))
+        },
+    )?;
     let stats = out.finish()?;
     Ok(StreamedReplay {
         stats,
@@ -959,38 +937,65 @@ pub fn replay_concurrent_tagged<D: BlockDevice + ?Sized>(
     collect_concurrent(observations, makespan, faults, streams.len(), name, config)
 }
 
-/// Per-stream adapter from a chunked [`RecordSource`] to the lazy
-/// [`ScheduledOp`] pulls [`drive_concurrent`] makes: open-/closed-loop
-/// conversion on the fly, holding one chunk of records per stream
-/// ([`tt_trace::ChunkCursor`]).
-struct SourceOps<'env> {
-    name: String,
-    cursor: tt_trace::ChunkCursor<Box<dyn RecordSource + 'env>>,
+/// The one record→op adapter: turns a chunked [`RecordSource`] into the
+/// fallible [`ScheduledOp`] stream the replay cores pull — open-/closed-loop
+/// conversion on the fly, holding one chunk of records
+/// ([`tt_trace::ChunkCursor`]). [`replay_source_into`] feeds it to
+/// [`drive`]; [`replay_concurrent_sources`] runs one per stream.
+///
+/// Open-loop pre-delays are the recorded inter-arrival gaps scaled by
+/// `time_scale` — exactly [`Schedule::open_loop_ops`]'s — so a streamed
+/// replay equals the schedule replay of the collected trace. Records out
+/// of arrival order (negative gaps) are an error.
+struct SourceOps<S> {
+    cursor: tt_trace::ChunkCursor<S>,
     style: StreamReplay,
+    /// Stream name for error messages (concurrent replay only).
+    stream: Option<String>,
     index: usize,
     prev_arrival: Option<SimInstant>,
 }
 
-impl SourceOps<'_> {
+impl<S: RecordSource> SourceOps<S> {
+    /// # Panics
+    ///
+    /// Panics if an open-loop `time_scale` is negative or not finite.
+    fn new(source: S, style: StreamReplay, chunk: usize, stream: Option<String>) -> Self {
+        if let StreamReplay::OpenLoop { time_scale } = style {
+            assert!(
+                time_scale.is_finite() && time_scale >= 0.0,
+                "time scale must be finite and non-negative, got {time_scale}"
+            );
+        }
+        SourceOps {
+            cursor: tt_trace::ChunkCursor::new(source, chunk),
+            style,
+            stream,
+            index: 0,
+            prev_arrival: None,
+        }
+    }
+
     fn next_op(&mut self) -> Result<Option<ScheduledOp>, TraceError> {
         let Some(rec) = self.cursor.next_record()? else {
             return Ok(None);
         };
         let op = match self.style {
             StreamReplay::OpenLoop { time_scale } => {
-                if let Some(prev) = self.prev_arrival {
-                    if rec.arrival < prev {
+                let gap = match self.prev_arrival {
+                    Some(prev) if rec.arrival < prev => {
+                        let stream = match &self.stream {
+                            Some(name) => format!("stream {name:?}: "),
+                            None => String::new(),
+                        };
                         return Err(TraceError::invalid_record(
                             self.index,
                             format!(
-                                "stream {:?}: streamed replay needs arrival order: {} \
-                                 precedes {prev}",
-                                self.name, rec.arrival
+                                "{stream}streamed replay needs arrival order: {} precedes {prev}",
+                                rec.arrival
                             ),
                         ));
                     }
-                }
-                let gap = match self.prev_arrival {
                     Some(prev) => rec.arrival - prev,
                     None => SimDuration::ZERO,
                 };
@@ -1012,6 +1017,14 @@ impl SourceOps<'_> {
     }
 }
 
+impl<S: RecordSource> Iterator for SourceOps<S> {
+    type Item = Result<ScheduledOp, TraceError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.next_op().transpose()
+    }
+}
+
 /// Replays several **streamed** record sources concurrently against one
 /// shared device — [`replay_concurrent`] without materialised schedules:
 /// each `(name, source)` stream is converted to open- or closed-loop
@@ -1022,7 +1035,7 @@ impl SourceOps<'_> {
 /// Identical to building each stream's [`Schedule`] (open/closed loop)
 /// from the collected trace and calling [`replay_concurrent_tagged`]
 /// (property-tested), provided each stream is arrival-ordered — the same
-/// contract as [`replay_source`].
+/// contract as [`replay_source_into`].
 ///
 /// # Errors
 ///
@@ -1039,23 +1052,10 @@ pub fn replay_concurrent_sources<'env, D>(
 where
     D: BlockDevice + ?Sized,
 {
-    if let StreamReplay::OpenLoop { time_scale } = style {
-        assert!(
-            time_scale.is_finite() && time_scale >= 0.0,
-            "time scale must be finite and non-negative, got {time_scale}"
-        );
-    }
-    let chunk = chunk.max(1);
     let stream_count = streams.len();
-    let mut adapters: Vec<SourceOps<'env>> = streams
+    let mut adapters: Vec<SourceOps<Box<dyn RecordSource + 'env>>> = streams
         .into_iter()
-        .map(|(name, source)| SourceOps {
-            name,
-            cursor: tt_trace::ChunkCursor::new(source, chunk),
-            style,
-            index: 0,
-            prev_arrival: None,
-        })
+        .map(|(name, source)| SourceOps::new(source, style, chunk, Some(name)))
         .collect();
     let providers: Vec<_> = adapters.iter_mut().map(|a| move || a.next_op()).collect();
     let (observations, makespan, faults) = drive_concurrent(device, providers, config.retry)?;
@@ -1069,7 +1069,9 @@ where
     ))
 }
 
-/// How [`replay_source`] re-issues a streamed trace.
+/// How a streamed replay ([`replay_source_into`],
+/// [`replay_concurrent_sources`], the `Pipeline` replay stage) re-issues a
+/// trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamReplay {
     /// Open-loop: requests fire at their recorded inter-arrival gaps
@@ -1085,88 +1087,52 @@ pub enum StreamReplay {
     ClosedLoop,
 }
 
-/// Replays records from a [`RecordSource`] against `device`, chunk by
-/// chunk, without materialising a [`Schedule`] or an input [`Trace`].
+/// Replays a streamed source straight **into a sink**: records flow
+/// source → device → sink chunk by chunk, with neither a [`Schedule`], the
+/// input trace nor the replayed output ever materialised — the
+/// fully-streaming shape the fused `Pipeline` replay stage runs on.
 ///
-/// Both replay styles issue requests in record order with monotone ready
-/// times, so the discrete-event engine degenerates to a linear scan — the
-/// streamed replay is **identical** to building the equivalent schedule
-/// and calling [`replay`], while holding only one chunk of input at a time.
+/// The source is adapted to open-/closed-loop operations on the fly and
+/// replayed by the same core as [`replay`], so the output is
+/// record-for-record identical to [`replay_into`] over
+/// [`Schedule::open_loop_ops`] / [`Schedule::closed_loop_ops`] of the
+/// collected trace — on clean and faulty devices alike (property-tested)
+/// — while holding only one chunk of input at a time.
 ///
 /// # Errors
 ///
-/// Propagates source errors, and rejects sources whose records are not
-/// arrival-ordered (open-loop gaps would be negative).
+/// Propagates source and sink [`TraceError`]s, and rejects sources whose
+/// records are not arrival-ordered (open-loop gaps would be negative).
+///
+/// # Panics
+///
+/// Panics if an open-loop `time_scale` is negative or not finite.
 ///
 /// # Examples
 ///
 /// ```
 /// use tt_device::presets;
-/// use tt_sim::{replay_source, ReplayConfig, StreamReplay};
+/// use tt_sim::{replay_source_into, ReplayConfig, StreamReplay};
 /// use tt_trace::source::VecSource;
-/// use tt_trace::{BlockRecord, OpType, time::SimInstant};
+/// use tt_trace::{time::SimInstant, BlockRecord, OpType, TraceMeta, TraceSink};
 ///
 /// let recs: Vec<BlockRecord> = (0..100)
 ///     .map(|i| BlockRecord::new(SimInstant::from_usecs(i * 200), i * 8, 8, OpType::Read))
 ///     .collect();
 /// let mut device = presets::intel_750_array();
-/// let out = replay_source(
+/// let mut sink = TraceSink::new(TraceMeta::named("streamed"));
+/// let out = replay_source_into(
 ///     &mut device,
 ///     &mut VecSource::new(recs),
-///     "streamed",
 ///     StreamReplay::OpenLoop { time_scale: 1.0 },
 ///     16,
 ///     ReplayConfig::default(),
+///     &mut sink,
 /// )?;
-/// assert_eq!(out.trace.len(), 100);
+/// assert_eq!(out.stats.records, 100);
+/// assert_eq!(sink.into_trace().len(), 100);
 /// # Ok::<(), tt_trace::TraceError>(())
 /// ```
-pub fn replay_source<D, S>(
-    device: &mut D,
-    source: &mut S,
-    name: &str,
-    style: StreamReplay,
-    chunk: usize,
-    config: ReplayConfig,
-) -> Result<ReplayOutcome, TraceError>
-where
-    D: BlockDevice + ?Sized,
-    S: RecordSource + ?Sized,
-{
-    let mut collector = Collector::new(config.record_device_timing);
-    let mut outcomes: Vec<ServiceOutcome> = Vec::new();
-    let mut faults = Vec::new();
-    let makespan = replay_source_visit(
-        device,
-        source,
-        style,
-        chunk,
-        config.retry,
-        &mut faults,
-        |ready, request, outcome| {
-            collector.observe(ready, request, &outcome);
-            outcomes.push(outcome);
-            Ok(())
-        },
-    )?;
-    Ok(ReplayOutcome {
-        trace: collector.finish(name),
-        outcomes,
-        makespan,
-        faults,
-    })
-}
-
-/// Replays a streamed source straight **into a sink**: records flow
-/// source → device → sink chunk by chunk, with neither the input trace
-/// nor the replayed output ever materialised — the fully-streaming shape
-/// the fused `Pipeline` replay stage runs on. Record-for-record identical
-/// to [`replay_source`] followed by draining its trace (property-tested).
-///
-/// # Errors
-///
-/// Propagates source and sink [`TraceError`]s, and rejects unordered
-/// open-loop input like [`replay_source`].
 pub fn replay_source_into<D, S>(
     device: &mut D,
     source: &mut S,
@@ -1179,144 +1145,8 @@ where
     D: BlockDevice + ?Sized,
     S: RecordSource + ?Sized,
 {
-    let mut out = ChunkBuffer::new(sink, chunk);
-    let mut faults = Vec::new();
-    let makespan = replay_source_visit(
-        device,
-        source,
-        style,
-        chunk,
-        config.retry,
-        &mut faults,
-        |ready, request, outcome| {
-            out.push(Collector::record_for(
-                ready,
-                request,
-                &outcome,
-                config.record_device_timing,
-            ))
-        },
-    )?;
-    let stats = out.finish()?;
-    Ok(StreamedReplay {
-        stats,
-        makespan,
-        faults: FaultStats::from_events(&faults),
-    })
-}
-
-/// The one streamed single-stream replay loop: pulls records from
-/// `source` chunk by chunk, converts them to open-/closed-loop issue
-/// times, services them, and hands `(ready, request, outcome)` to
-/// `visit`. Both [`replay_source`] and [`replay_source_into`] are thin
-/// visitors over it.
-fn replay_source_visit<D, S, F>(
-    device: &mut D,
-    source: &mut S,
-    style: StreamReplay,
-    chunk: usize,
-    retry: RetryPolicy,
-    faults: &mut Vec<FaultEvent>,
-    mut visit: F,
-) -> Result<SimDuration, TraceError>
-where
-    D: BlockDevice + ?Sized,
-    S: RecordSource + ?Sized,
-    F: FnMut(SimInstant, &IoRequest, ServiceOutcome) -> Result<(), TraceError>,
-{
-    if let StreamReplay::OpenLoop { time_scale } = style {
-        assert!(
-            time_scale.is_finite() && time_scale >= 0.0,
-            "time scale must be finite and non-negative, got {time_scale}"
-        );
-    }
-    let chunk = chunk.max(1);
-    let mut makespan = SimDuration::ZERO;
-
-    let mut buf: Vec<tt_trace::BlockRecord> = Vec::with_capacity(chunk);
-    let mut index = 0usize;
-    let mut prev_arrival: Option<SimInstant> = None;
-    let mut clock = SimInstant::ZERO;
-    let mut prev_complete = SimInstant::ZERO;
-    let mut last_issue = SimInstant::ZERO;
-
-    loop {
-        buf.clear();
-        if source.next_chunk(&mut buf, chunk)? == 0 {
-            break;
-        }
-        for rec in &buf {
-            let base = match style {
-                StreamReplay::OpenLoop { time_scale } => {
-                    if let Some(prev) = prev_arrival {
-                        if rec.arrival < prev {
-                            return Err(TraceError::invalid_record(
-                                index,
-                                format!(
-                                    "streamed replay needs arrival order: {} precedes {prev}",
-                                    rec.arrival
-                                ),
-                            ));
-                        }
-                        clock += (rec.arrival - prev).mul_f64(time_scale);
-                    }
-                    prev_arrival = Some(rec.arrival);
-                    clock
-                }
-                StreamReplay::ClosedLoop => prev_complete,
-            };
-            // Retry backoff can push an issue past the next open-loop
-            // arrival; clamp to keep issue times monotone (the device
-            // contract). Identity on clean runs.
-            let mut ready = base.max(last_issue);
-            let request = IoRequest::from(rec);
-            let mut attempts = 0u32;
-            let mut retry_delay = SimDuration::ZERO;
-            let outcome = loop {
-                match device.try_service(&request, ready) {
-                    Ok(outcome) => break Some(outcome),
-                    Err(_) => {
-                        attempts += 1;
-                        if retry.exhausted(attempts) {
-                            break None;
-                        }
-                        let backoff = retry.backoff_for(attempts);
-                        ready += backoff;
-                        retry_delay = retry_delay.saturating_add(backoff);
-                    }
-                }
-            };
-            last_issue = ready;
-            match outcome {
-                Some(outcome) => {
-                    let complete = outcome.complete_at(ready);
-                    makespan = makespan.max(complete - SimInstant::ZERO);
-                    prev_complete = complete;
-                    if attempts > 0 {
-                        faults.push(FaultEvent {
-                            index,
-                            attempts,
-                            retry_delay,
-                            gave_up: false,
-                        });
-                    }
-                    visit(ready, &request, outcome)?;
-                }
-                None => {
-                    faults.push(FaultEvent {
-                        index,
-                        attempts,
-                        retry_delay,
-                        gave_up: true,
-                    });
-                    makespan = makespan.max(ready - SimInstant::ZERO);
-                    prev_complete = ready;
-                }
-            }
-            index += 1;
-        }
-    }
-    Ok(makespan)
+    let ops = SourceOps::new(source, style, chunk, None);
+    drive_into(device, ops, config, sink, chunk)
 }
 
 #[cfg(test)]
@@ -1516,94 +1346,128 @@ mod tests {
         assert_eq!(plain.makespan, conc.makespan);
     }
 
-    #[test]
-    fn streamed_open_loop_equals_schedule_replay() {
-        use tt_trace::source::VecSource;
-
-        let recs: Vec<BlockRecord> = (0..200u64)
+    /// `n` arrival-ordered records, every `write_every`-th a write.
+    fn streamed_recs(n: u64, gap_us: u64, write_every: u64) -> Vec<BlockRecord> {
+        (0..n)
             .map(|i| {
                 BlockRecord::new(
-                    SimInstant::from_usecs(100 + i * 37),
+                    SimInstant::from_usecs(100 + i * gap_us),
                     i * 8,
                     8,
-                    if i % 3 == 0 {
+                    if i % write_every == 0 {
                         OpType::Write
                     } else {
                         OpType::Read
                     },
                 )
             })
-            .collect();
-        let trace = Trace::from_records(TraceMeta::named("t"), recs.clone());
+            .collect()
+    }
 
-        let mut d1 = test_device();
-        let scheduled = replay(
-            &mut d1,
-            &Schedule::open_loop(&trace, 1.0),
-            "x",
+    /// The reference a streamed replay must equal: [`replay`] of the
+    /// collected trace's open- or closed-loop [`Schedule`].
+    fn schedule_replay<D: BlockDevice>(
+        device: &mut D,
+        recs: &[BlockRecord],
+        style: StreamReplay,
+    ) -> ReplayOutcome {
+        let trace = Trace::from_records(TraceMeta::named("t"), recs.to_vec());
+        let schedule = match style {
+            StreamReplay::OpenLoop { time_scale } => Schedule::open_loop(&trace, time_scale),
+            StreamReplay::ClosedLoop => Schedule::closed_loop(&trace),
+        };
+        replay(device, &schedule, "x", ReplayConfig::default())
+    }
+
+    /// [`replay_source_into`] of `recs` into a [`TraceSink`].
+    fn source_replay<D: BlockDevice>(
+        device: &mut D,
+        recs: &[BlockRecord],
+        style: StreamReplay,
+        chunk: usize,
+    ) -> Result<(StreamedReplay, Trace), TraceError> {
+        use tt_trace::sink::TraceSink;
+        use tt_trace::source::VecSource;
+
+        let mut sink = TraceSink::new(TraceMeta::named("x").with_source("tt-sim collector"));
+        let out = replay_source_into(
+            device,
+            &mut VecSource::new(recs.to_vec()),
+            style,
+            chunk,
             ReplayConfig::default(),
+            &mut sink,
+        )?;
+        Ok((out, sink.into_trace()))
+    }
+
+    fn assert_streamed_eq(reference: &ReplayOutcome, got: &(StreamedReplay, Trace), ctx: &str) {
+        let (streamed, trace) = got;
+        assert_eq!(trace, &reference.trace, "{ctx}: trace diverged");
+        assert_eq!(streamed.makespan, reference.makespan, "{ctx}: makespan");
+        assert_eq!(streamed.stats.records, reference.trace.len(), "{ctx}");
+        assert_eq!(
+            streamed.faults,
+            FaultStats::from_events(&reference.faults),
+            "{ctx}: fault stats"
         );
-        let mut d2 = test_device();
-        let streamed = replay_source(
-            &mut d2,
-            &mut VecSource::new(recs),
-            "x",
+    }
+
+    /// The replay devices a streamed replay is checked on: clean, and
+    /// under transient errors that are retried then served (2 failures)
+    /// or given up (10 failures). Retry backoff pushes a request past its
+    /// open-loop slot; a streamed replay must chain its successors exactly
+    /// as the schedule replay does, off the final, post-backoff issue.
+    fn fault_plans() -> [tt_device::FaultPlan; 3] {
+        let plan = tt_device::FaultPlan::new(7);
+        [
+            plan.clone(),
+            plan.clone().with_error(0.2, 2),
+            plan.with_error(0.2, 10),
+        ]
+    }
+
+    /// [`replay_source_into`] equals [`replay`] of the schedule, at every
+    /// chunk size and under every [`fault_plans`] entry.
+    fn assert_streamed_equals_schedule(recs: &[BlockRecord], style: StreamReplay) {
+        for (i, plan) in fault_plans().into_iter().enumerate() {
+            let device = || tt_device::FaultyDevice::new(test_device(), plan.clone());
+            let reference = schedule_replay(&mut device(), recs, style);
+            assert_eq!(reference.faults.is_empty(), i == 0, "{plan:?} must fault");
+            for chunk in [1usize, 7, 1000] {
+                let streamed = source_replay(&mut device(), recs, style, chunk).unwrap();
+                assert_streamed_eq(&reference, &streamed, &format!("{plan:?} chunk {chunk}"));
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_open_loop_equals_schedule_replay() {
+        assert_streamed_equals_schedule(
+            &streamed_recs(200, 37, 3),
             StreamReplay::OpenLoop { time_scale: 1.0 },
-            7,
-            ReplayConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(scheduled.trace.records(), streamed.trace.records());
-        assert_eq!(scheduled.makespan, streamed.makespan);
-        assert_eq!(scheduled.outcomes, streamed.outcomes);
+        );
     }
 
     #[test]
     fn streamed_closed_loop_equals_schedule_replay() {
-        use tt_trace::source::VecSource;
-
         let recs: Vec<BlockRecord> = (0..100u64)
             .map(|i| BlockRecord::new(SimInstant::from_secs(i), i * 8, 8, OpType::Read))
             .collect();
-        let trace = Trace::from_records(TraceMeta::named("t"), recs.clone());
-
-        let mut d1 = test_device();
-        let scheduled = replay(
-            &mut d1,
-            &Schedule::closed_loop(&trace),
-            "x",
-            ReplayConfig::default(),
-        );
-        let mut d2 = test_device();
-        let streamed = replay_source(
-            &mut d2,
-            &mut VecSource::new(recs),
-            "x",
-            StreamReplay::ClosedLoop,
-            13,
-            ReplayConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(scheduled.trace.records(), streamed.trace.records());
-        assert_eq!(scheduled.makespan, streamed.makespan);
+        assert_streamed_equals_schedule(&recs, StreamReplay::ClosedLoop);
     }
 
     #[test]
     fn streamed_replay_rejects_disorder() {
-        use tt_trace::source::VecSource;
-
         let recs = vec![
             BlockRecord::new(SimInstant::from_usecs(10), 0, 8, OpType::Read),
             BlockRecord::new(SimInstant::from_usecs(5), 8, 8, OpType::Read),
         ];
-        let mut dev = test_device();
-        let err = replay_source(
-            &mut dev,
-            &mut VecSource::new(recs),
-            "x",
+        let err = source_replay(
+            &mut test_device(),
+            &recs,
             StreamReplay::OpenLoop { time_scale: 1.0 },
             64,
-            ReplayConfig::default(),
         )
         .unwrap_err();
         assert!(err.to_string().contains("arrival order"));
@@ -1662,59 +1526,6 @@ mod tests {
         assert_eq!(result.unwrap_err(), "sink broke");
         // The remaining 99 ops were never serviced.
         assert_eq!(visited, 1);
-    }
-
-    #[test]
-    fn replay_source_into_matches_replay_source() {
-        use tt_trace::sink::TraceSink;
-        use tt_trace::source::VecSource;
-
-        let recs: Vec<BlockRecord> = (0..150u64)
-            .map(|i| {
-                BlockRecord::new(
-                    SimInstant::from_usecs(50 + i * 23),
-                    i * 16,
-                    8,
-                    if i % 4 == 0 {
-                        OpType::Write
-                    } else {
-                        OpType::Read
-                    },
-                )
-            })
-            .collect();
-        for style in [
-            StreamReplay::OpenLoop { time_scale: 1.0 },
-            StreamReplay::ClosedLoop,
-        ] {
-            let mut d1 = test_device();
-            let whole = replay_source(
-                &mut d1,
-                &mut VecSource::new(recs.clone()),
-                "x",
-                style,
-                64,
-                ReplayConfig::default(),
-            )
-            .unwrap();
-            for chunk in [1usize, 7, 1000] {
-                let mut d2 = test_device();
-                let mut sink =
-                    TraceSink::new(TraceMeta::named("x").with_source("tt-sim collector"));
-                let streamed = replay_source_into(
-                    &mut d2,
-                    &mut VecSource::new(recs.clone()),
-                    style,
-                    chunk,
-                    ReplayConfig::default(),
-                    &mut sink,
-                )
-                .unwrap();
-                assert_eq!(streamed.makespan, whole.makespan, "chunk {chunk}");
-                assert_eq!(streamed.stats.records, whole.trace.len());
-                assert_eq!(sink.into_trace(), whole.trace, "chunk {chunk}");
-            }
-        }
     }
 
     #[test]

@@ -44,16 +44,26 @@
 //! transparently: closed-loop or `Sync` operations (ready times depend on
 //! completions), a model without the snapshot contract, a single worker,
 //! a nested fan-out, or a schedule with no usable cuts (saturated traces).
+//!
+//! # Status: a measured alternative, not a library path
+//!
+//! No replay path of the library calls this module: the `Pipeline` replay
+//! stages, `tt-cli` and `tt-serve` all run the sequential core, which
+//! measured faster than sharding on the 2-core machines CI and the
+//! benchmark run on. [`replay_sharded`] stays public as the benchmark's
+//! measured alternative — the per-layer `replay.open_sharded_s` probe and
+//! the `tt-bench` `replay_shard` lane time it against sequential
+//! [`replay`](crate::replay) — and retires with them.
+
+use std::convert::Infallible;
 
 use tt_device::{BlockDevice, ServiceOutcome};
-use tt_trace::sink::{ChunkBuffer, RecordSink};
 use tt_trace::time::{SimDuration, SimInstant};
-use tt_trace::{BlockRecord, Trace, TraceError, TraceMeta};
+use tt_trace::{BlockRecord, Trace, TraceMeta};
 
 use crate::collector::Collector;
 use crate::replay::{
-    drive, replay, replay_into, replay_records, FaultEvent, FaultStats, ReplayConfig,
-    ReplayOutcome, Schedule, ScheduledOp, StreamedReplay,
+    drive, replay, FaultEvent, ReplayConfig, ReplayOutcome, Schedule, ScheduledOp,
 };
 
 /// Replayed (record, outcome) pairs, as the sharded core stitches them.
@@ -222,10 +232,12 @@ fn try_replay_sharded_core<D: BlockDevice + ?Sized>(
                 pre_delay: first_ready - SimInstant::ZERO,
                 ..ops[start]
             };
-            let chained = std::iter::once(first).chain(ops[start + 1..end].iter().copied());
+            let chained = std::iter::once(first)
+                .chain(ops[start + 1..end].iter().copied())
+                .map(Ok::<_, Infallible>);
             let mut records = Vec::with_capacity(end - start);
             let mut faults = Vec::new();
-            let makespan = drive(
+            let Ok(makespan) = drive(
                 &mut *dev,
                 chained,
                 config.retry,
@@ -240,7 +252,7 @@ fn try_replay_sharded_core<D: BlockDevice + ?Sized>(
                         ),
                         outcome,
                     ));
-                    std::ops::ControlFlow::Continue(())
+                    Ok(())
                 },
             );
             for event in &mut faults {
@@ -336,73 +348,10 @@ pub fn replay_sharded<D: BlockDevice + ?Sized>(
     }
 }
 
-/// Sharded [`replay_records`]: `visit` sees the same `(record, outcome)`
-/// sequence in the same order, but the device simulation fans out across
-/// workers when possible. The op iterator is collected first — cut
-/// detection needs the whole schedule.
-pub fn replay_records_sharded<D, I, F>(
-    device: &mut D,
-    ops: I,
-    config: ReplayConfig,
-    mut visit: F,
-) -> SimDuration
-where
-    D: BlockDevice + ?Sized,
-    I: IntoIterator<Item = ScheduledOp>,
-    F: FnMut(BlockRecord, ServiceOutcome),
-{
-    let ops: Vec<ScheduledOp> = ops.into_iter().collect();
-    match try_replay_sharded_core(device, &ops, config) {
-        Some((pairs, makespan, _faults)) => {
-            for (record, outcome) in pairs {
-                visit(record, outcome);
-            }
-            makespan
-        }
-        None => replay_records(device, ops, config, visit),
-    }
-}
-
-/// Sharded [`replay_into`]: identical sink pushes and makespan, sharded
-/// device simulation when possible. The op iterator is collected first —
-/// cut detection needs the whole schedule.
-///
-/// # Errors
-///
-/// Propagates sink [`TraceError`]s.
-pub fn replay_into_sharded<D, I>(
-    device: &mut D,
-    ops: I,
-    config: ReplayConfig,
-    sink: &mut dyn RecordSink,
-    chunk: usize,
-) -> Result<StreamedReplay, TraceError>
-where
-    D: BlockDevice + ?Sized,
-    I: IntoIterator<Item = ScheduledOp>,
-{
-    let ops: Vec<ScheduledOp> = ops.into_iter().collect();
-    match try_replay_sharded_core(device, &ops, config) {
-        Some((pairs, makespan, faults)) => {
-            let mut out = ChunkBuffer::new(sink, chunk);
-            for (record, _) in pairs {
-                out.push(record)?;
-            }
-            let stats = out.finish()?;
-            Ok(StreamedReplay {
-                stats,
-                makespan,
-                faults: FaultStats::from_events(&faults),
-            })
-        }
-        None => replay_into(device, ops, config, sink, chunk),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::{replay_source_into, IssueMode, StreamReplay};
+    use crate::replay::{replay_into, replay_source_into, IssueMode, StreamReplay};
     use tt_device::{
         presets, FlashArray, FlashConfig, FlashSsd, HddConfig, HddDevice, IoRequest, LinearDevice,
         LinearDeviceConfig,
@@ -542,53 +491,54 @@ mod tests {
         }
     }
 
+    /// The sharded replay lands on the records and makespan of both
+    /// streaming sequential paths — over schedule ops and over a record
+    /// source — at every chunk size and worker count.
     #[test]
-    fn sharded_sink_and_source_paths_match_streaming() {
+    fn sharded_replay_matches_streamed_replays() {
         let _guard = THREADS.lock().unwrap();
         let trace = bursty_trace(250, 0xBEEF);
         let device = || FlashArray::new(FlashConfig::default(), 4, 128);
+        let mut sharded = Vec::new();
+        for workers in [0usize, 2, 5] {
+            tt_par::set_threads(workers);
+            let open = Schedule::open_loop(&trace, 1.0);
+            sharded.push(replay_sharded(
+                &mut device(),
+                &open,
+                "seq",
+                ReplayConfig::default(),
+            ));
+        }
+        tt_par::set_threads(0);
         for chunk in [1usize, 7, 64, 1000] {
-            tt_par::set_threads(1);
-            let mut seq_sink = TraceSink::new(TraceMeta::named("seq"));
-            let seq = replay_into(
+            let mut ops_sink = TraceSink::new(TraceMeta::named("seq"));
+            let from_ops = replay_into(
                 &mut device(),
                 Schedule::open_loop_ops(&trace, 1.0),
                 ReplayConfig::default(),
-                &mut seq_sink,
+                &mut ops_sink,
                 chunk,
             )
             .unwrap();
-            let seq_trace = seq_sink.into_trace();
-            let mut seq_src_sink = TraceSink::new(TraceMeta::named("seq"));
-            let seq_src = replay_source_into(
+            let ops_trace = ops_sink.into_trace();
+            let mut src_sink = TraceSink::new(TraceMeta::named("seq"));
+            let from_source = replay_source_into(
                 &mut device(),
                 &mut VecSource::new(trace.records().to_vec()),
                 StreamReplay::OpenLoop { time_scale: 1.0 },
                 chunk,
                 ReplayConfig::default(),
-                &mut seq_src_sink,
+                &mut src_sink,
             )
             .unwrap();
-            let seq_src_trace = seq_src_sink.into_trace();
-            for workers in [0usize, 2, 5] {
-                tt_par::set_threads(workers);
-                let mut sink = TraceSink::new(TraceMeta::named("seq"));
-                let sharded = replay_into_sharded(
-                    &mut device(),
-                    Schedule::open_loop_ops(&trace, 1.0),
-                    ReplayConfig::default(),
-                    &mut sink,
-                    chunk,
-                )
-                .unwrap();
-                assert_eq!(sharded, seq, "chunk={chunk} w={workers}");
-                assert_eq!(sharded, seq_src, "source chunk={chunk} w={workers}");
-                let sharded_trace = sink.into_trace();
-                assert_eq!(sharded_trace, seq_trace);
-                assert_eq!(sharded_trace, seq_src_trace);
+            assert_eq!(from_source, from_ops, "chunk={chunk}");
+            assert_eq!(src_sink.into_trace(), ops_trace, "chunk={chunk}");
+            for out in &sharded {
+                assert_eq!(out.makespan, from_ops.makespan, "chunk={chunk}");
+                assert_eq!(out.trace.records(), ops_trace.records(), "chunk={chunk}");
             }
         }
-        tt_par::set_threads(0);
     }
 
     #[test]

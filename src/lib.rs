@@ -11,7 +11,7 @@
 //! | [`trace`] (`tt-trace`) | block-trace data model: columnar [`TraceStore`](trace::TraceStore) (struct-of-arrays), streaming [`RecordSource`](trace::RecordSource) readers, single-pass grouping, CSV/blkparse/TTB formats |
 //! | [`stats`] (`tt-stats`) | ECDF/PDF numerics over borrowed sample slices, Algorithm 1 steepness, pchip/spline interpolation |
 //! | [`device`] (`tt-device`) | HDD, flash SSD / array, linear device models |
-//! | [`sim`] (`tt-sim`) | discrete-event replay engine, blktrace-style collector, chunked [`replay_source`](sim::replay_source) streaming replay, streamed concurrent replay ([`sim::replay_concurrent_sources`]) |
+//! | [`sim`] (`tt-sim`) | discrete-event replay engine, blktrace-style collector, chunked source-to-sink streaming replay ([`sim::replay_source_into`]), streamed concurrent replay ([`sim::replay_concurrent_sources`]) |
 //! | [`workloads`] (`tt-workloads`) | 31-workload Table I catalog, session generator |
 //! | [`core`] (`tt-core`) | inference (parallel per-group CDF analysis), reconstruction methods, verification, reports |
 //! | [`par`] (`tt-par`) | deterministic scoped-thread parallel helpers behind grouping/inference, plus the bounded SPSC channel ([`par::bounded`]) behind the fused executor |
@@ -20,7 +20,7 @@
 //! from disk, and fan grouping + per-group CDF analysis out across cores —
 //! with **bit-identical** results at any worker count
 //! ([`par::set_threads`]). External dependencies (`serde`, `rand`,
-//! `proptest`, `criterion`) are satisfied by offline stand-ins under
+//! `proptest`) are satisfied by offline stand-ins under
 //! `compat/`, so the workspace builds with no registry access.
 //!
 //! This facade re-exports every crate, adds the [`Pipeline`] builder —
@@ -83,17 +83,19 @@
 //! assert_eq!(stats.records, 3);
 //! assert!(String::from_utf8(out).unwrap().starts_with("# trace: demo"));
 //!
-//! // Or replay the stream against a device without building the trace.
+//! // Or replay the stream against a device, source to sink, without
+//! // building either trace.
 //! let mut source = CsvSource::new(file.as_bytes());
-//! let out = replay_source(
+//! let mut out = Vec::new();
+//! let replayed = replay_source_into(
 //!     &mut device,
 //!     &mut source,
-//!     "demo",
 //!     StreamReplay::OpenLoop { time_scale: 1.0 },
 //!     65_536,
 //!     ReplayConfig::default(),
+//!     &mut CsvSink::new(&mut out, "demo"),
 //! ).unwrap();
-//! assert_eq!(out.trace.len(), 3);
+//! assert_eq!(replayed.stats.records, 3);
 //! ```
 //!
 //! The pre-`Pipeline` free functions (`infer`, `Reconstructor::
@@ -287,9 +289,8 @@ pub mod prelude {
     pub use tt_par::telemetry::{FlightLog, FlightRecorder, StageReport};
     pub use tt_sim::{
         replay, replay_concurrent, replay_concurrent_sources, replay_concurrent_tagged,
-        replay_into, replay_records, replay_source, replay_source_into, ConcurrentOutcome,
-        FaultEvent, FaultStats, IssueMode, ReplayConfig, RetryPolicy, Schedule, ScheduledOp,
-        StreamReplay,
+        replay_into, replay_source_into, ConcurrentOutcome, FaultEvent, FaultStats, IssueMode,
+        ReplayConfig, RetryPolicy, Schedule, ScheduledOp, StreamReplay,
     };
     pub use tt_trace::{
         time::{SimDuration, SimInstant},

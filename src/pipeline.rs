@@ -105,7 +105,7 @@ use tt_core::{
 use tt_device::BlockDevice;
 use tt_par::bounded::{self, ChannelProbe};
 use tt_par::telemetry::{ChannelStats, FlightRecorder};
-use tt_sim::{replay_into_sharded, replay_source_into, ReplayConfig, Schedule, StreamReplay};
+use tt_sim::{replay_into, replay_source_into, ReplayConfig, Schedule, StreamReplay};
 use tt_trace::sink::{drain_trace, RecordSink, SinkStats};
 use tt_trace::source::{collect_source, RecordSource, DEFAULT_CHUNK};
 use tt_trace::time::SimDuration;
@@ -320,23 +320,17 @@ impl<'env> Pipeline<'env> {
         self
     }
 
-    /// Caps the worker threads used by grouping/inference **and by replay
-    /// stages** (`0` = all cores, `1` = sequential). Parallel and
-    /// sequential runs are bit-identical — the knob trades cores for
-    /// wall-clock only.
+    /// Caps the worker threads used by grouping and inference (`0` = all
+    /// cores, `1` = sequential). Parallel and sequential runs are
+    /// bit-identical — the knob trades cores for wall-clock only.
     ///
-    /// With more than one worker, an open-loop replay stage that reads a
-    /// materialised trace — a chain's first stage, or any stage under
-    /// [`Pipeline::materialize`] — shards: the schedule is split at
-    /// quiescent cuts and the partitions replay concurrently on
-    /// per-partition device snapshots ([`tt_sim::replay_sharded`]),
-    /// producing the exact records, stats and makespan of the sequential
-    /// replay. Schedules or devices that cannot shard (closed-loop,
-    /// saturated arrivals, models without the snapshot contract) run
-    /// sequentially. A fused replay stage fed by an upstream stage never
-    /// shards: it streams its channel record by record
-    /// ([`tt_sim::replay_source_into`]), overlapping the stage before it.
-    /// Output is the same either way, so the knob never changes results.
+    /// Replay stages ignore the knob: every replay stage runs the one
+    /// sequential replay core, over the trace's schedule ops
+    /// ([`tt_sim::replay_into`]) or, for a fused stage fed by an upstream
+    /// stage, straight off its channel ([`tt_sim::replay_source_into`]),
+    /// overlapping the stage before it. Sharding a stage's replay across
+    /// cores at quiescent cuts measured slower than this sequential core
+    /// on two cores, so the pipeline does not shard.
     ///
     /// The cap is applied via [`tt_par::set_threads`] when the pipeline
     /// executes and, like the CLI's `--parallel` flag, it is
@@ -991,19 +985,15 @@ fn replay_stage_into(
     sink: &mut dyn RecordSink,
     chunk: usize,
 ) -> Result<SinkStats, TraceError> {
-    // `replay_into_sharded` fans the simulation across worker cores at
-    // quiescent cuts when the schedule and device allow it, falling back
-    // to the streaming sequential replay otherwise — output identical
-    // either way (see `tt_sim::replay_sharded`).
     let out = match mode {
-        StreamReplay::ClosedLoop => replay_into_sharded(
+        StreamReplay::ClosedLoop => replay_into(
             device,
             Schedule::closed_loop_ops(trace),
             config,
             sink,
             chunk,
         )?,
-        StreamReplay::OpenLoop { time_scale } => replay_into_sharded(
+        StreamReplay::OpenLoop { time_scale } => replay_into(
             device,
             Schedule::open_loop_ops(trace, time_scale),
             config,

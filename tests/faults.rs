@@ -1,10 +1,8 @@
 //! Robustness properties of the fault-injection layer:
 //!
 //! * a fault-injected replay is **bit-reproducible** given the same
-//!   [`FaultPlan`] seed, at every worker count and chunk size — shardable
-//!   plans shard, error-capable plans transparently fall back to the
-//!   sequential core, and either way the output never depends on the
-//!   knobs;
+//!   [`FaultPlan`] seed, at every worker count and chunk size — the
+//!   output never depends on the knobs;
 //! * an error-budget decode ([`ErrorPolicy::Skip`] / `Quarantine`) of a
 //!   dirty input equals the clean-subset reference run exactly;
 //! * retry backoff never reorders completions;
@@ -43,9 +41,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Same plan, same seed ⇒ identical records at any worker count and
-    /// chunk size, for every named scenario — including the unshardable
-    /// error plans (which must fall back to the sequential core rather
-    /// than change results).
+    /// chunk size, for every named scenario — including the error plans,
+    /// whose retries shift all later timing.
     #[test]
     fn fault_replay_is_knob_invariant(
         seed in 0u64..1000,

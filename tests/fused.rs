@@ -12,6 +12,7 @@ use proptest::prelude::*;
 
 use tracetracker::prelude::*;
 use tracetracker::trace::format::csv::CsvSink;
+use tracetracker::workloads::faults;
 use tracetracker::FUSED_CHANNEL_CHUNKS;
 
 /// One decade-old workload trace, built once and shared by every case.
@@ -49,12 +50,15 @@ proptest! {
     /// The acceptance property: a fused `reconstruct → replay` chain is
     /// bit-identical to the materialised chain — collected trace (records
     /// *and* metadata) and streamed sink bytes — at any chunk size and
-    /// worker count, in both replay modes.
+    /// worker count, in both replay modes, on a clean replay device and
+    /// under every named fault scenario (transient errors and their
+    /// retries included).
     #[test]
     fn fused_chain_equals_materialised(
         chunk in 1usize..200,
         workers in 0usize..5,
         closed in proptest::bool::ANY,
+        fault_seed in 0u64..1000,
     ) {
         let old = old_trace();
         let mode = if closed {
@@ -62,37 +66,53 @@ proptest! {
         } else {
             StreamReplay::OpenLoop { time_scale: 1.0 }
         };
+        let plans = std::iter::once(None).chain(
+            faults::SCENARIO_NAMES
+                .iter()
+                .map(|name| faults::scenario(name, fault_seed)),
+        );
+        for plan in plans {
+            let label = format!("{plan:?}");
+            // The replay-stage device: a fresh array, behind the plan if any.
+            let replay_device = || -> Box<dyn BlockDevice> {
+                let array = presets::intel_750_array();
+                match &plan {
+                    Some(plan) => Box::new(FaultyDevice::new(array, plan.clone())),
+                    None => Box::new(array),
+                }
+            };
 
-        let mut d1 = presets::intel_750_array();
-        let mut d2 = presets::intel_750_array();
-        let fused = chain(old, &mut d1, &mut d2, mode, chunk, workers)
-            .collect()
-            .unwrap();
+            let mut d1 = presets::intel_750_array();
+            let mut d2 = replay_device();
+            let fused = chain(old, &mut d1, &mut *d2, mode, chunk, workers)
+                .collect()
+                .unwrap();
 
-        let mut d3 = presets::intel_750_array();
-        let mut d4 = presets::intel_750_array();
-        let materialised = chain(old, &mut d3, &mut d4, mode, chunk, workers)
-            .materialize()
-            .collect()
-            .unwrap();
-        prop_assert_eq!(&fused, &materialised);
-        prop_assert_eq!(fused.meta(), materialised.meta());
+            let mut d3 = presets::intel_750_array();
+            let mut d4 = replay_device();
+            let materialised = chain(old, &mut d3, &mut *d4, mode, chunk, workers)
+                .materialize()
+                .collect()
+                .unwrap();
+            prop_assert_eq!(&fused, &materialised, "{}", label);
+            prop_assert_eq!(fused.meta(), materialised.meta(), "{}", label);
 
-        // The sink-terminated run streams the same bytes.
-        let mut fused_bytes = Vec::new();
-        let mut d5 = presets::intel_750_array();
-        let mut d6 = presets::intel_750_array();
-        chain(old, &mut d5, &mut d6, mode, chunk, workers)
-            .write_to(&mut CsvSink::new(&mut fused_bytes, old.meta().name.clone()))
-            .unwrap();
-        let mut mat_bytes = Vec::new();
-        let mut d7 = presets::intel_750_array();
-        let mut d8 = presets::intel_750_array();
-        chain(old, &mut d7, &mut d8, mode, chunk, workers)
-            .materialize()
-            .write_to(&mut CsvSink::new(&mut mat_bytes, old.meta().name.clone()))
-            .unwrap();
-        prop_assert_eq!(fused_bytes, mat_bytes);
+            // The sink-terminated run streams the same bytes.
+            let mut fused_bytes = Vec::new();
+            let mut d5 = presets::intel_750_array();
+            let mut d6 = replay_device();
+            chain(old, &mut d5, &mut *d6, mode, chunk, workers)
+                .write_to(&mut CsvSink::new(&mut fused_bytes, old.meta().name.clone()))
+                .unwrap();
+            let mut mat_bytes = Vec::new();
+            let mut d7 = presets::intel_750_array();
+            let mut d8 = replay_device();
+            chain(old, &mut d7, &mut *d8, mode, chunk, workers)
+                .materialize()
+                .write_to(&mut CsvSink::new(&mut mat_bytes, old.meta().name.clone()))
+                .unwrap();
+            prop_assert_eq!(fused_bytes, mat_bytes, "{}", label);
+        }
         tt_par::set_threads(0);
     }
 

@@ -1,7 +1,9 @@
-//! Facade-level sharded-replay properties: `Pipeline` replay stages and
-//! the `MultiPipeline` per-stream fan-outs must be bit-identical to their
-//! sequential references at every worker count — the worker knob trades
-//! cores for wall-clock, never results.
+//! Facade-level knob-invariance properties of replay: `Pipeline` replay
+//! stages and the `MultiPipeline` per-stream fan-outs must be
+//! bit-identical to their sequential references at every worker count.
+//! Pipeline replay stages run the sequential core at every count;
+//! `replay_each` and the stage-less terminals fan out across streams.
+//! The worker knob trades cores for wall-clock, never results.
 
 use tracetracker::prelude::*;
 
