@@ -6,7 +6,10 @@
 //! 2. rank the per-size sequential CDFs of `Tintt` by **steepness**
 //!    (Algorithm 1's PDF-outlier proxy);
 //! 3. interpolate the two steepest CDFs (pchip by default) and locate their
-//!    maximum-derivative points `T'` — the per-group `Tslat` estimates;
+//!    maximum-derivative points `T'` — the per-group `Tslat` estimates.
+//!    Each group's PDF (step 2) and CDF come from one histogram of its
+//!    gaps on a fixed linear-then-log grid, so no sample is sorted; the
+//!    derivative is scanned at six points per knot interval;
 //! 4. solve the linear model: `β = ΔT / |size₁ − size₂|`,
 //!    `Tcdel = T'₁ − β·size₁`;
 //! 5. estimate `Tmovd` from the steepest *random* group:
@@ -57,7 +60,9 @@ pub enum InterpolationKind {
 pub struct InferenceConfig {
     /// Minimum `Tintt` samples for a group to join the steepness ranking.
     pub min_group_samples: usize,
-    /// Grid resolution for derivative scans.
+    /// Grid points of the `ΔT` derivative scan under
+    /// [`DeltaEstimator::CdfDiff`]; unused otherwise (the steepest-rise
+    /// scan samples six points per knot interval).
     pub grid_samples: usize,
     /// PDF bin width for Algorithm 1, microseconds.
     pub pdf_bin_us: f64,
@@ -268,22 +273,117 @@ pub fn infer_columns(cols: Columns<'_>, config: &InferenceConfig) -> InferenceRe
 /// resolution, ~47 bins per decade).
 const LOG_BIN_RATIO: f64 = 1.05;
 
-/// Quantises a latency sample (µs) onto a linear-then-logarithmic grid:
+/// Slots `0..LINEAR_SLOTS` are the linear bins `[k·bin, (k+1)·bin)` up to
+/// `10·bin` (a sample of exactly `10·bin` lands in slot 10); slot
+/// `LINEAR_SLOTS + k` is the `k`-th logarithmic bin above it.
+const LINEAR_SLOTS: usize = 11;
+
+/// The linear bin width inference quantises with (clamped away from 0).
+fn grid_bin(config: &InferenceConfig) -> f64 {
+    config.pdf_bin_us.max(1e-3)
+}
+
+/// Histogram of latency samples (µs) on a linear-then-logarithmic grid:
 /// fixed `bin`-wide bins up to `10·bin`, then geometrically growing bins.
 /// Latency data spans six decades (µs channel delays to minute-long
 /// idles); fixed-width bins either starve the millisecond region of mass
 /// or blur the microsecond region.
-fn quantize_us(x: f64, bin: f64) -> f64 {
-    let threshold = bin * 10.0;
-    if x <= threshold {
-        ((x / bin).floor() + 0.5) * bin
-    } else {
-        let idx = ((x / threshold).ln() / LOG_BIN_RATIO.ln()).floor();
-        threshold * LOG_BIN_RATIO.powf(idx + 0.5)
+///
+/// One pass counts samples per slot; each occupied slot's centre — the
+/// value every sample in it quantises to — is computed once. The grid has
+/// at most about 900 slots, so the PDF and the CDF of a group are built
+/// from its histogram without quantising or sorting the samples.
+struct GapHistogram {
+    bin: f64,
+    counts: Vec<u64>,
+    n: usize,
+}
+
+impl GapHistogram {
+    fn new(bin: f64) -> Self {
+        GapHistogram {
+            bin,
+            counts: Vec::new(),
+            n: 0,
+        }
+    }
+
+    /// Counts non-negative samples (µs).
+    fn add(&mut self, samples_us: impl IntoIterator<Item = f64>) {
+        let threshold = self.bin * 10.0;
+        let ln_ratio = LOG_BIN_RATIO.ln();
+        for x in samples_us {
+            let slot = if x <= threshold {
+                (x / self.bin).floor() as usize
+            } else {
+                LINEAR_SLOTS + ((x / threshold).ln() / ln_ratio).floor() as usize
+            };
+            if slot >= self.counts.len() {
+                self.counts.resize(slot + 1, 0);
+            }
+            self.counts[slot] += 1;
+            self.n += 1;
+        }
+    }
+
+    /// Centre of `slot` — bit for bit the value the quantiser maps the
+    /// slot's samples to.
+    fn centre(&self, slot: usize) -> f64 {
+        if slot < LINEAR_SLOTS {
+            (slot as f64 + 0.5) * self.bin
+        } else {
+            let idx = (slot - LINEAR_SLOTS) as f64;
+            self.bin * 10.0 * LOG_BIN_RATIO.powf(idx + 0.5)
+        }
+    }
+
+    /// Occupied bins as `(centre, count)`, centres ascending. Each run —
+    /// linear, logarithmic — ascends with its slot, but the last linear
+    /// centre (`10.5·bin`) falls between the first two log centres, so the
+    /// runs are merged by centre.
+    fn bins(&self) -> Vec<(f64, u64)> {
+        let occupied = |slots: std::ops::Range<usize>| {
+            slots
+                .filter_map(|s| {
+                    let c = *self.counts.get(s)?;
+                    (c > 0).then(|| (self.centre(s), c))
+                })
+                .collect::<Vec<_>>()
+        };
+        let linear = occupied(0..LINEAR_SLOTS.min(self.counts.len()));
+        let log = occupied(LINEAR_SLOTS..self.counts.len());
+        let mut merged = Vec::with_capacity(linear.len() + log.len());
+        let (mut i, mut j) = (0, 0);
+        while i < linear.len() && j < log.len() {
+            if linear[i].0 <= log[j].0 {
+                merged.push(linear[i]);
+                i += 1;
+            } else {
+                merged.push(log[j]);
+                j += 1;
+            }
+        }
+        merged.extend_from_slice(&linear[i..]);
+        merged.extend_from_slice(&log[j..]);
+        merged
     }
 }
 
-/// Width of the bin whose centre is `c` on the [`quantize_us`] grid.
+/// Empirical CDF support of [`GapHistogram::bins`] (distinct values,
+/// ascending): `(value, cumulative count / n)` per bin — exactly the
+/// `(i+1)/n` fractions [`Ecdf::points`] assigns the sorted samples.
+fn cdf_support(bins: &[(f64, u64)]) -> Vec<(f64, f64)> {
+    let n = bins.iter().map(|&(_, c)| c).sum::<u64>() as f64;
+    let mut cumulative = 0u64;
+    bins.iter()
+        .map(|&(v, c)| {
+            cumulative += c;
+            (v, cumulative as f64 / n)
+        })
+        .collect()
+}
+
+/// Width of the bin whose centre is `c` on the [`GapHistogram`] grid.
 fn bin_width_at(c: f64, bin: f64) -> f64 {
     let threshold = bin * 10.0;
     if c <= threshold {
@@ -293,35 +393,41 @@ fn bin_width_at(c: f64, bin: f64) -> f64 {
     }
 }
 
-/// Analyses one group's `Tintt` samples (borrowed as a microsecond slice):
-/// Algorithm 1 steepness + steepest rise location.
+/// Analyses one group's `Tintt` samples (µs, non-negative): Algorithm 1
+/// steepness of the binned PDF + steepest rise of the binned CDF, both
+/// read off one [`GapHistogram`].
 fn analyse_samples(
-    sectors: u32,
-    op: OpType,
-    seq: Sequentiality,
-    samples: &[f64],
+    key: GroupKey,
+    samples_us: impl ExactSizeIterator<Item = f64>,
     config: &InferenceConfig,
 ) -> Option<GroupAnalysis> {
-    if samples.len() < config.min_group_samples {
+    if samples_us.len() < config.min_group_samples {
         return None;
     }
-    let bin = config.pdf_bin_us.max(1e-3);
-    let quantised: Vec<f64> = samples.iter().map(|&x| quantize_us(x, bin)).collect();
-    let pdf = DiscretePdf::exact(&quantised)?;
+    let mut hist = GapHistogram::new(grid_bin(config));
+    hist.add(samples_us);
+    let bins = hist.bins();
+    let pdf = DiscretePdf::from_sorted_counts(&bins)?;
     let steep = examine_steepness(&pdf);
-    let rise = steepest_rise(samples, config)?;
+    let rise = steepest_rise(&bins, config)?;
     Some(GroupAnalysis {
-        sectors,
-        op,
-        seq,
-        samples: samples.len(),
+        sectors: key.sectors,
+        op: key.op,
+        seq: key.seq,
+        samples: hist.n,
         steepness: steep.steepness,
         rise_usec: rise,
     })
 }
 
+/// A group's `Tintt` samples in microseconds.
+fn gaps_usec(group: &Group) -> impl ExactSizeIterator<Item = f64> + '_ {
+    group.inter_arrivals.iter().map(|d| d.as_usecs_f64())
+}
+
 /// Runs [`analyse_samples`] over **every** group, fanned out across cores
-/// with `tt_par` (sequential when one worker is configured).
+/// with `tt_par` (sequential when one worker is configured). Each group is
+/// binned straight off its `inter_arrivals`, with no sample buffer.
 ///
 /// Each group's analysis is a pure function of its own samples, and results
 /// are keyed back by `GroupKey`, so the map is bit-identical regardless of
@@ -331,18 +437,9 @@ fn analyse_all(
     grouped: &GroupedTrace,
     config: &InferenceConfig,
 ) -> BTreeMap<GroupKey, GroupAnalysis> {
-    // One sample buffer per worker thread, reused across the groups that
-    // worker claims.
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
-    }
     let entries: Vec<(GroupKey, &Group)> = grouped.iter().map(|(k, g)| (*k, g)).collect();
     let analyses = tt_par::par_map(&entries, |(key, group)| {
-        SCRATCH.with(|scratch| {
-            let mut samples = scratch.borrow_mut();
-            group.usecs_into(&mut samples);
-            analyse_samples(key.sectors, key.op, key.seq, &samples, config)
-        })
+        analyse_samples(*key, gaps_usec(group), config)
     });
     entries
         .iter()
@@ -359,19 +456,17 @@ fn analyse_all(
 /// both the exponential spray of asynchronous back-to-back gaps below it
 /// and the decade-wide lognormal idle mass above it.
 ///
-/// Samples are quantised onto the linear-then-log grid, the empirical CDF
-/// is re-expressed as flat-then-jump knot pairs at that resolution (an
-/// extra knot carrying the previous cumulative value one bin before each
-/// support point), and the interpolant's maximum derivative is located
-/// inside the jump segments. Returns the rise location in microseconds.
-fn steepest_rise(samples_us: &[f64], config: &InferenceConfig) -> Option<f64> {
-    let bin = config.pdf_bin_us.max(1e-3);
-    let quantised: Vec<f64> = samples_us
-        .iter()
-        .map(|&x| quantize_us(x.max(bin / 2.0), bin))
-        .collect();
-    let ecdf = Ecdf::new(quantised)?;
-    let support = ecdf.points();
+/// `bins` are the occupied `(centre, count)` bins of the samples'
+/// [`GapHistogram`] on the linear-then-log grid. Their empirical CDF is
+/// re-expressed as flat-then-jump knot pairs at that resolution (an extra
+/// knot carrying the previous cumulative value one bin before each support
+/// point), and the interpolant's maximum derivative is located inside the
+/// jump segments by [`interval_slopes`]. Returns the rise location in
+/// microseconds; `None` for an empty histogram.
+fn steepest_rise(bins: &[(f64, u64)], config: &InferenceConfig) -> Option<f64> {
+    let bin = grid_bin(config);
+    let support = cdf_support(bins);
+    let first = support.first()?.0;
 
     // Step-shaped knots in log10 coordinates:
     // ... (log(x_k − w_k), F_{k−1}), (log(x_k), F_k) ...
@@ -388,7 +483,7 @@ fn steepest_rise(samples_us: &[f64], config: &InferenceConfig) -> Option<f64> {
         prev_f = f;
     }
     if knots.len() < 2 {
-        return Some(support[0].0.max(0.0));
+        return Some(first.max(0.0));
     }
     let slopes = match config.interpolation {
         InterpolationKind::Pchip => interval_slopes(&Pchip::new(knots.clone()).ok()?, &knots),
@@ -423,6 +518,9 @@ const GRID_PAR_MIN_CHUNK: usize = 1024;
 /// Maximum derivative location and magnitude inside every knot interval,
 /// in ascending-x order. (A uniform grid over the whole domain would skip
 /// the bin-wide jump segments entirely when the domain spans milliseconds.)
+/// Each interval's six points are evaluated with
+/// [`derivative_in`](tt_stats::Interpolant::derivative_in), so the scan
+/// needs no interval search.
 ///
 /// The scan fans out across cores via `tt_par` for large grids — the
 /// within-group parallelism that keeps one dominant group from bounding
@@ -435,12 +533,12 @@ where
     I: tt_stats::Interpolant + Sync,
 {
     const PER_INTERVAL: usize = 5;
-    let scan_interval = |w: &[(f64, f64)]| {
+    let scan_interval = |i: usize, w: &[(f64, f64)]| {
         let mut best = (w[0].0, f64::NEG_INFINITY);
         for j in 0..=PER_INTERVAL {
             let t = j as f64 / PER_INTERVAL as f64;
             let x = w[0].0 + (w[1].0 - w[0].0) * t;
-            let d = interp.derivative(x);
+            let d = interp.derivative_in(i, x);
             if d > best.1 {
                 best = (x, d);
             }
@@ -451,7 +549,8 @@ where
     tt_par::par_chunk_map(intervals, GRID_PAR_MIN_CHUNK, |range| {
         knots[range.start..range.end + 1]
             .windows(2)
-            .map(scan_interval)
+            .enumerate()
+            .map(|(j, w)| scan_interval(range.start + j, w))
             .collect::<Vec<(f64, f64)>>()
     })
     .into_iter()
@@ -617,18 +716,18 @@ fn single_group(s1: GroupAnalysis) -> OpInference {
 
 /// Pool every gap of the op into one CDF, ignoring size and sequentiality.
 fn pooled_op(grouped: &GroupedTrace, op: OpType, config: &InferenceConfig) -> Option<OpInference> {
-    let mut samples: Vec<f64> = Vec::new();
+    let mut hist = GapHistogram::new(grid_bin(config));
     let mut weighted_sectors = 0.0f64;
     let mut members = 0usize;
     for (k, g) in grouped.iter().filter(|(k, _)| k.op == op) {
-        samples.extend(g.inter_arrivals_usec());
+        hist.add(gaps_usec(g));
         weighted_sectors += f64::from(k.sectors) * g.len() as f64;
         members += g.len();
     }
-    if samples.len() < 2 || members == 0 {
+    if hist.n < 2 || members == 0 {
         return None;
     }
-    let rise = steepest_rise(&samples, config)?;
+    let rise = steepest_rise(&hist.bins(), config)?;
     let mean_sectors = weighted_sectors / members as f64;
     Some(OpInference {
         coeff_ns_per_sector: (rise * 1_000.0 / mean_sectors).max(0.0),
@@ -756,6 +855,239 @@ mod tests {
         };
         let result = infer(&trace, &cfg);
         assert!(result.estimate.beta_ns_per_sector >= 0.0);
+    }
+
+    /// The inference path before the gap histogram, frozen as the
+    /// bit-identity reference: quantise every sample, `DiscretePdf::exact`
+    /// and `Ecdf::new(..).points()` over the quantised copies, and a scan
+    /// that searches for every point's interval (`derivative`).
+    mod reference {
+        use super::super::*;
+
+        pub(super) fn quantize_us(x: f64, bin: f64) -> f64 {
+            let threshold = bin * 10.0;
+            if x <= threshold {
+                ((x / bin).floor() + 0.5) * bin
+            } else {
+                let idx = ((x / threshold).ln() / LOG_BIN_RATIO.ln()).floor();
+                threshold * LOG_BIN_RATIO.powf(idx + 0.5)
+            }
+        }
+
+        pub(super) fn analyse(
+            key: GroupKey,
+            samples: &[f64],
+            config: &InferenceConfig,
+        ) -> Option<GroupAnalysis> {
+            if samples.len() < config.min_group_samples {
+                return None;
+            }
+            let bin = config.pdf_bin_us.max(1e-3);
+            let quantised: Vec<f64> = samples.iter().map(|&x| quantize_us(x, bin)).collect();
+            let pdf = DiscretePdf::exact(&quantised)?;
+            let steep = examine_steepness(&pdf);
+            let rise = rise(samples, config)?;
+            Some(GroupAnalysis {
+                sectors: key.sectors,
+                op: key.op,
+                seq: key.seq,
+                samples: samples.len(),
+                steepness: steep.steepness,
+                rise_usec: rise,
+            })
+        }
+
+        pub(super) fn rise(samples_us: &[f64], config: &InferenceConfig) -> Option<f64> {
+            let bin = config.pdf_bin_us.max(1e-3);
+            let quantised: Vec<f64> = samples_us
+                .iter()
+                .map(|&x| quantize_us(x.max(bin / 2.0), bin))
+                .collect();
+            let support = Ecdf::new(quantised)?.points();
+            let mut knots: Vec<(f64, f64)> = Vec::with_capacity(support.len() * 2);
+            let mut prev_f = 0.0;
+            for &(x, f) in &support {
+                let w = bin_width_at(x, bin);
+                let ledge = (x - w).max(x / 2.0).log10();
+                let xl = x.log10();
+                if knots.last().is_none_or(|&(lx, _)| lx < ledge - 1e-12) {
+                    knots.push((ledge, prev_f));
+                }
+                knots.push((xl, f));
+                prev_f = f;
+            }
+            if knots.len() < 2 {
+                return Some(support[0].0.max(0.0));
+            }
+            let slopes = match config.interpolation {
+                InterpolationKind::Pchip => scan(&Pchip::new(knots.clone()).ok()?, &knots),
+                InterpolationKind::Spline => scan(&CubicSpline::new(knots.clone()).ok()?, &knots),
+            };
+            let max_slope = slopes
+                .iter()
+                .map(|&(_, s)| s)
+                .fold(f64::NEG_INFINITY, f64::max);
+            let rise_log = slopes
+                .iter()
+                .find(|&&(_, s)| s >= max_slope * 0.4)
+                .map_or(knots[0].0, |&(x, _)| x);
+            Some(10f64.powf(rise_log))
+        }
+
+        fn scan(interp: &dyn tt_stats::Interpolant, knots: &[(f64, f64)]) -> Vec<(f64, f64)> {
+            knots
+                .windows(2)
+                .map(|w| {
+                    let mut best = (w[0].0, f64::NEG_INFINITY);
+                    for j in 0..=5 {
+                        let t = j as f64 / 5.0;
+                        let x = w[0].0 + (w[1].0 - w[0].0) * t;
+                        let d = interp.derivative(x);
+                        if d > best.1 {
+                            best = (x, d);
+                        }
+                    }
+                    best
+                })
+                .collect()
+        }
+    }
+
+    /// Every `pdf_bin_us` setting the bit-identity guard runs (1e-6 is
+    /// clamped to 1e-3), with both interpolants; `min_group_samples = 1`
+    /// so that small and single-sample groups are compared too.
+    fn identity_configs() -> Vec<InferenceConfig> {
+        let mut configs = Vec::new();
+        for pdf_bin_us in [1.0, 0.25, 3.0, 1e-6] {
+            for interpolation in [InterpolationKind::Pchip, InterpolationKind::Spline] {
+                configs.push(InferenceConfig {
+                    min_group_samples: 1,
+                    pdf_bin_us,
+                    interpolation,
+                    ..InferenceConfig::default()
+                });
+            }
+        }
+        configs
+    }
+
+    /// `GroupAnalysis` with its f64 fields as bits.
+    fn analysis_bits(
+        a: Option<GroupAnalysis>,
+    ) -> Option<(u32, OpType, Sequentiality, usize, u64, u64)> {
+        a.map(|a| {
+            (
+                a.sectors,
+                a.op,
+                a.seq,
+                a.samples,
+                a.steepness.to_bits(),
+                a.rise_usec.to_bits(),
+            )
+        })
+    }
+
+    /// The histogram analysis of `samples` equals the reference's, bit
+    /// for bit.
+    fn assert_analysis_matches(key: GroupKey, samples: &[f64], config: &InferenceConfig) {
+        assert_eq!(
+            analysis_bits(analyse_samples(key, samples.iter().copied(), config)),
+            analysis_bits(reference::analyse(key, samples, config)),
+            "{key:?}, {} samples, {config:?}",
+            samples.len()
+        );
+    }
+
+    /// The histogram rise of `samples` — the pooled fallback's estimator —
+    /// equals the reference's, bit for bit.
+    fn assert_rise_matches(samples: &[f64], config: &InferenceConfig) {
+        let mut hist = GapHistogram::new(grid_bin(config));
+        hist.add(samples.iter().copied());
+        assert_eq!(
+            steepest_rise(&hist.bins(), config).map(f64::to_bits),
+            reference::rise(samples, config).map(f64::to_bits),
+            "rise of {} samples, {config:?}",
+            samples.len()
+        );
+    }
+
+    /// Every group of the catalog traces at 300, 3k and 20k requests, and
+    /// each op's pooled rise, match the pre-histogram path bit for bit.
+    #[test]
+    fn histogram_inference_matches_reference_on_catalog_groups() {
+        let configs = identity_configs();
+        for entry in tt_workloads::catalog::all() {
+            for requests in [300, 3_000, 20_000] {
+                let session =
+                    tt_workloads::generate_session(entry.name, &entry.profile, requests, 7);
+                let trace = session
+                    .materialize(&mut tt_device::presets::enterprise_hdd_2007(), false)
+                    .trace;
+                let grouped = GroupedTrace::build(&trace);
+                for config in &configs {
+                    for (key, group) in grouped.iter() {
+                        assert_analysis_matches(*key, &group.inter_arrivals_usec(), config);
+                    }
+                    for op in [OpType::Read, OpType::Write] {
+                        let pooled: Vec<f64> = grouped
+                            .iter()
+                            .filter(|(k, _)| k.op == op)
+                            .flat_map(|(_, g)| g.inter_arrivals_usec())
+                            .collect();
+                        assert_rise_matches(&pooled, config);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Samples on the grid's edges: 0, below `bin/2`, `10·bin` and its
+    /// neighbours (the linear/log boundary), log-bin edges
+    /// `10·bin·1.05^k` ± 1–2 ulps, `u64::MAX` ns — mixed, and each alone
+    /// as a single-valued group.
+    #[test]
+    fn histogram_inference_matches_reference_on_grid_edges() {
+        let key = GroupKey {
+            seq: Sequentiality::Sequential,
+            op: OpType::Read,
+            sectors: 8,
+        };
+        for config in identity_configs() {
+            let bin = grid_bin(&config);
+            let threshold = bin * 10.0;
+            let mut edges = vec![
+                0.0,
+                bin / 4.0,
+                (bin / 2.0).next_down(),
+                bin / 2.0,
+                bin,
+                threshold.next_down(),
+                threshold,
+                threshold.next_up(),
+                threshold * 1.05f64.sqrt(),
+                threshold * 1.05,
+                SimDuration::from_nanos(u64::MAX).as_usecs_f64(),
+            ];
+            for k in 1..120 {
+                let edge = threshold * LOG_BIN_RATIO.powi(k);
+                let below = edge.next_down();
+                let above = edge.next_up();
+                edges.extend([below.next_down(), below, edge, above, above.next_up()]);
+            }
+            // Uneven multiplicities so that probabilities differ per value.
+            let mixed: Vec<f64> = edges
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &x)| std::iter::repeat_n(x, 1 + i % 4))
+                .collect();
+            let mut cases: Vec<Vec<f64>> = vec![mixed.clone(), mixed[..40].to_vec()];
+            cases.extend(edges.iter().flat_map(|&x| [vec![x], vec![x; 25]]));
+            cases.extend(edges.windows(2).map(<[f64]>::to_vec));
+            for samples in &cases {
+                assert_analysis_matches(key, samples, &config);
+                assert_rise_matches(samples, &config);
+            }
+        }
     }
 
     /// The within-group grid scans (`interval_slopes` and the CdfDiff

@@ -139,9 +139,14 @@ pub fn verify_injection(
     let estimate = infer(&injected_trace, &config.inference).estimate;
     let decomp = Decomposition::compute(&injected_trace, &estimate);
 
-    let injected_set: std::collections::HashSet<usize> = truth.iter().map(|t| t.index).collect();
-
     let total_gaps = injected_trace.len().saturating_sub(1);
+    let mut injected = vec![false; total_gaps];
+    for t in &truth {
+        if let Some(slot) = injected.get_mut(t.index) {
+            *slot = true;
+        }
+    }
+
     let mut v = InjectionVerification {
         period,
         injected: truth.len(),
@@ -155,10 +160,9 @@ pub fn verify_injection(
     };
 
     let mut len_tp_sum = 0.0;
-    for i in 0..total_gaps {
-        let est = decomp.tidle[i];
+    // `tidle` has one entry per record, so the zip walks every gap.
+    for (&est, &truth_positive) in decomp.tidle.iter().zip(&injected) {
         let predicted = est > config.min_idle;
-        let truth_positive = injected_set.contains(&i);
         match (predicted, truth_positive) {
             (true, true) => {
                 v.tp += 1;

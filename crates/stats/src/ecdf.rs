@@ -33,10 +33,10 @@ impl Ecdf {
     /// Returns `None` when `samples` is empty or contains a non-finite value
     /// (an ECDF over NaN/∞ has no meaningful order).
     ///
-    /// Sorting is the dominant cost for the paper's biggest per-group
-    /// sample vectors; past [`sort::PAR_SORT_THRESHOLD`](crate::sort)
-    /// samples it fans out across cores, bit-identical to the sequential
-    /// sort at any worker count (property-tested).
+    /// Sorting is the dominant cost for large sample vectors; past
+    /// [`sort::PAR_SORT_THRESHOLD`](crate::sort) samples it fans out across
+    /// cores, bit-identical to the sequential sort at any worker count
+    /// (property-tested).
     #[must_use]
     pub fn new(mut samples: Vec<f64>) -> Option<Self> {
         if samples.is_empty() || samples.iter().any(|x| !x.is_finite()) {

@@ -28,6 +28,16 @@ pub trait Interpolant {
     /// (consistent with constant extrapolation).
     fn derivative(&self, x: f64) -> f64;
 
+    /// [`Interpolant::derivative`] at `x` when the caller knows `x` lies in
+    /// knot interval `i` (`knot[i] ≤ x < knot[i+1]`): interval-by-interval
+    /// scans pass the index and skip the per-point interval search.
+    /// Returns exactly what `derivative(x)` returns, whatever `i` is;
+    /// implementations fall back to it when `x` is outside interval `i`.
+    fn derivative_in(&self, i: usize, x: f64) -> f64 {
+        let _ = i;
+        self.derivative(x)
+    }
+
     /// The closed `[min, max]` interval covered by the knots.
     fn domain(&self) -> (f64, f64);
 }
@@ -68,6 +78,20 @@ fn validate(points: &[(f64, f64)]) -> Result<(), InterpError> {
         return Err(InterpError::BadKnots);
     }
     Ok(())
+}
+
+/// Index `i` with `xs[i] <= x < xs[i+1]`, clamped to valid intervals.
+fn interval(xs: &[f64], x: f64) -> usize {
+    match xs.binary_search_by(|v| v.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal)) {
+        Ok(i) => i.min(xs.len() - 2),
+        Err(i) => i.saturating_sub(1).min(xs.len() - 2),
+    }
+}
+
+/// `true` when `x` lies in interval `i` (`xs[i] <= x < xs[i+1]`) — the
+/// interval [`interval`] would find for it.
+fn in_interval(xs: &[f64], i: usize, x: f64) -> bool {
+    xs.get(i).is_some_and(|&lo| lo <= x) && xs.get(i + 1).is_some_and(|&hi| x < hi)
 }
 
 /// Piecewise Cubic Hermite Interpolating Polynomial with Fritsch–Carlson
@@ -116,15 +140,20 @@ impl Pchip {
         Ok(Pchip { xs, ys, slopes })
     }
 
-    fn interval(&self, x: f64) -> usize {
-        // Index i with xs[i] <= x < xs[i+1]; clamped to valid intervals.
-        match self
-            .xs
-            .binary_search_by(|v| v.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal))
-        {
-            Ok(i) => i.min(self.xs.len() - 2),
-            Err(i) => i.saturating_sub(1).min(self.xs.len() - 2),
-        }
+    /// Derivative of interval `i`'s cubic at `x`.
+    fn derivative_of(&self, i: usize, x: f64) -> f64 {
+        let h = self.xs[i + 1] - self.xs[i];
+        let t = (x - self.xs[i]) / h;
+        let t2 = t * t;
+        let dh00 = 6.0 * t2 - 6.0 * t;
+        let dh10 = 3.0 * t2 - 4.0 * t + 1.0;
+        let dh01 = -6.0 * t2 + 6.0 * t;
+        let dh11 = 3.0 * t2 - 2.0 * t;
+        (self.ys[i] * dh00
+            + h * self.slopes[i] * dh10
+            + self.ys[i + 1] * dh01
+            + h * self.slopes[i + 1] * dh11)
+            / h
     }
 }
 
@@ -175,7 +204,7 @@ impl Interpolant for Pchip {
         if x >= hi {
             return self.ys[self.ys.len() - 1];
         }
-        let i = self.interval(x);
+        let i = interval(&self.xs, x);
         let h = self.xs[i + 1] - self.xs[i];
         let t = (x - self.xs[i]) / h;
         let (t2, t3) = (t * t, t * t * t);
@@ -194,19 +223,17 @@ impl Interpolant for Pchip {
         if x < lo || x > hi {
             return 0.0;
         }
-        let i = self.interval(x);
-        let h = self.xs[i + 1] - self.xs[i];
-        let t = (x - self.xs[i]) / h;
-        let t2 = t * t;
-        let dh00 = 6.0 * t2 - 6.0 * t;
-        let dh10 = 3.0 * t2 - 4.0 * t + 1.0;
-        let dh01 = -6.0 * t2 + 6.0 * t;
-        let dh11 = 3.0 * t2 - 2.0 * t;
-        (self.ys[i] * dh00
-            + h * self.slopes[i] * dh10
-            + self.ys[i + 1] * dh01
-            + h * self.slopes[i + 1] * dh11)
-            / h
+        self.derivative_of(interval(&self.xs, x), x)
+    }
+
+    fn derivative_in(&self, i: usize, x: f64) -> f64 {
+        // `t = 1` can round onto the next knot, where the search picks
+        // interval `i + 1`: only points strictly inside `i` skip it.
+        if in_interval(&self.xs, i, x) {
+            self.derivative_of(i, x)
+        } else {
+            self.derivative(x)
+        }
     }
 
     fn domain(&self) -> (f64, f64) {
@@ -250,16 +277,6 @@ impl CubicSpline {
         let ys: Vec<f64> = points.iter().map(|&(_, y)| y).collect();
         let m = natural_second_derivatives(&xs, &ys);
         Ok(CubicSpline { xs, ys, m })
-    }
-
-    fn interval(&self, x: f64) -> usize {
-        match self
-            .xs
-            .binary_search_by(|v| v.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal))
-        {
-            Ok(i) => i.min(self.xs.len() - 2),
-            Err(i) => i.saturating_sub(1).min(self.xs.len() - 2),
-        }
     }
 }
 
@@ -305,7 +322,7 @@ impl Interpolant for CubicSpline {
         if x >= hi {
             return self.ys[self.ys.len() - 1];
         }
-        let i = self.interval(x);
+        let i = interval(&self.xs, x);
         let h = self.xs[i + 1] - self.xs[i];
         let a = (self.xs[i + 1] - x) / h;
         let b = (x - self.xs[i]) / h;
@@ -319,7 +336,7 @@ impl Interpolant for CubicSpline {
         if x < lo || x > hi {
             return 0.0;
         }
-        let i = self.interval(x);
+        let i = interval(&self.xs, x);
         let h = self.xs[i + 1] - self.xs[i];
         let a = (self.xs[i + 1] - x) / h;
         let b = (x - self.xs[i]) / h;

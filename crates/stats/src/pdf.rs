@@ -49,6 +49,47 @@ impl DiscretePdf {
         Some(DiscretePdf { points })
     }
 
+    /// Builds a PDF from `(value, count)` pairs sorted by value — the
+    /// histogram form of [`DiscretePdf::exact`] over the multiset holding
+    /// each value `count` times, and bit-identical to it: every sample
+    /// adds `1/n` to its value's probability, in the same order `exact`
+    /// adds them (`count as f64 / n` would round differently). Adjacent
+    /// equal values merge and zero counts contribute nothing, as in
+    /// `exact`.
+    ///
+    /// Returns `None` when the counts sum to zero or a counted value is
+    /// not finite.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tt_stats::DiscretePdf;
+    ///
+    /// let pdf = DiscretePdf::from_sorted_counts(&[(1.0, 2), (2.0, 1), (4.0, 1)]).unwrap();
+    /// assert_eq!(pdf, DiscretePdf::exact(&[1.0, 1.0, 2.0, 4.0]).unwrap());
+    /// ```
+    #[must_use]
+    pub fn from_sorted_counts(counts: &[(f64, u64)]) -> Option<Self> {
+        let counted = || counts.iter().filter(|&&(_, c)| c > 0);
+        let total: u64 = counted().map(|&(_, c)| c).sum();
+        if total == 0 || counted().any(|&(v, _)| !v.is_finite()) {
+            return None;
+        }
+        let share = 1.0 / total as f64;
+        let mut points: Vec<(f64, f64)> = Vec::with_capacity(counts.len());
+        for &(v, c) in counted() {
+            if points.last().is_none_or(|last| last.0 != v) {
+                points.push((v, 0.0));
+            }
+            if let Some(last) = points.last_mut() {
+                for _ in 0..c {
+                    last.1 += share;
+                }
+            }
+        }
+        Some(DiscretePdf { points })
+    }
+
     /// Builds a PDF over linear bins of width `bin_width`; each bin is
     /// represented by its centre.
     ///

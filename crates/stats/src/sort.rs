@@ -1,11 +1,14 @@
 //! Deterministic (optionally parallel) sorting of finite `f64` samples.
 //!
-//! ECDF construction sorts every group's sample vector, and for the
-//! paper's large collections one dominant group can hold tens of millions
-//! of inter-arrival samples — a sequential sort there bounds the whole
-//! inference speedup. [`sort_samples`] keeps small inputs on `std`'s
-//! stable sort and switches to a chunked parallel merge sort
-//! ([`par_merge_sort`]) past [`PAR_SORT_THRESHOLD`].
+//! [`Ecdf::new`](crate::Ecdf::new) sorts its samples here. Its callers
+//! are the `CdfDiff` ablation's `ΔT` estimator (`DeltaEstimator::CdfDiff`
+//! in `tt-core`, two groups per op), `tt_core::report::cdf_series` (CDF
+//! plots) and the figure harnesses. The default per-group inference path
+//! sorts nothing: it bins each group onto a fixed grid. One sample vector
+//! can still hold tens of millions of inter-arrival gaps, so
+//! [`sort_samples`] keeps small inputs on `std`'s stable sort and
+//! switches to a chunked parallel merge sort ([`par_merge_sort`]) past
+//! [`PAR_SORT_THRESHOLD`].
 //!
 //! The parallel path is **bit-identical** to the sequential one at any
 //! worker count (property-tested): chunks are sorted with the same stable

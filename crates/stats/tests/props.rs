@@ -154,6 +154,70 @@ proptest! {
         }
     }
 
+    /// `from_sorted_counts` is `exact` over the expanded multiset, bit for
+    /// bit: same support, same probabilities — zero counts and equal
+    /// neighbours (`-0.0` next to `0.0` too) included.
+    #[test]
+    fn pdf_from_sorted_counts_equals_exact(
+        raw in prop::collection::vec((-40.0f64..40.0, 0u64..30), 1..60),
+    ) {
+        // Coarse values so that equal neighbours occur.
+        let mut counts: Vec<(f64, u64)> =
+            raw.iter().map(|&(v, c)| (v.round() / 4.0, c)).collect();
+        counts.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let expanded: Vec<f64> = counts
+            .iter()
+            .flat_map(|&(v, c)| std::iter::repeat_n(v, c as usize))
+            .collect();
+        let want = DiscretePdf::exact(&expanded);
+        let got = DiscretePdf::from_sorted_counts(&counts);
+        prop_assert_eq!(want.is_some(), got.is_some());
+        if let (Some(want), Some(got)) = (want, got) {
+            prop_assert_eq!(want.points().len(), got.points().len());
+            for (w, g) in want.points().iter().zip(got.points()) {
+                prop_assert_eq!(w.0.to_bits(), g.0.to_bits());
+                prop_assert_eq!(w.1.to_bits(), g.1.to_bits());
+            }
+        }
+    }
+
+    /// `derivative_in(i, x)` equals `derivative(x)` bit for bit at the six
+    /// scan points `x₀ + (x₁ − x₀)·j/5` of every interval, for both
+    /// interpolants — including intervals a few ulps wide, where `t = 1`
+    /// can land on either side of the next knot — and whatever index is
+    /// passed.
+    #[test]
+    fn derivative_in_matches_derivative_at_scan_points(
+        steps in prop::collection::vec((0u32..4, 0.0f64..1.0), 1..50),
+        base in -50.0f64..50.0,
+    ) {
+        let mut knots = vec![(base, 0.0)];
+        let (mut x, mut y) = (base, 0.0);
+        for &(kind, r) in &steps {
+            x = if kind == 0 {
+                (0..1 + (r * 4.0) as usize).fold(x, |x, _| x.next_up())
+            } else {
+                x + 0.01 + r * f64::from(kind)
+            };
+            y += r;
+            knots.push((x, y));
+        }
+        let pchip = Pchip::new(knots.clone()).unwrap();
+        let spline = CubicSpline::new(knots.clone()).unwrap();
+        for f in [&pchip as &dyn Interpolant, &spline] {
+            for (i, w) in knots.windows(2).enumerate() {
+                for j in 0..=5 {
+                    let t = f64::from(j) / 5.0;
+                    let x = w[0].0 + (w[1].0 - w[0].0) * t;
+                    let want = f.derivative(x).to_bits();
+                    prop_assert_eq!(f.derivative_in(i, x).to_bits(), want);
+                    prop_assert_eq!(f.derivative_in(i + 1, x).to_bits(), want);
+                    prop_assert_eq!(f.derivative_in(0, x).to_bits(), want);
+                }
+            }
+        }
+    }
+
     /// Steepness examination never panics and returns a finite score for
     /// any non-degenerate PDF.
     #[test]
