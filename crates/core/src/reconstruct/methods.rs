@@ -5,7 +5,7 @@ use tt_sim::{replay_into, IssueMode, ReplayConfig, Schedule, ScheduledOp};
 use tt_trace::sink::{ChunkBuffer, RecordSink, SinkStats, TraceSink};
 use tt_trace::source::DEFAULT_CHUNK;
 use tt_trace::time::SimDuration;
-use tt_trace::{Trace, TraceError, TraceMeta};
+use tt_trace::{BlockRecord, Trace, TraceError, TraceMeta};
 
 /// A block-trace reconstruction method: old trace + target device → new
 /// trace.
@@ -157,16 +157,14 @@ impl Reconstructor for Acceleration {
         chunk: usize,
     ) -> Result<SinkStats, TraceError> {
         let scale = 1.0 / self.factor;
-        let arrivals = old.columns().arrivals();
+        let cols = old.view();
+        let gaps = std::iter::once(SimDuration::ZERO).chain(cols.inter_arrivals());
         let mut out = ChunkBuffer::new(sink, chunk);
         let mut arrival = tt_trace::time::SimInstant::ZERO;
-        for (i, mut rec) in old.iter_records().enumerate() {
-            if i > 0 {
-                arrival += (arrivals[i] - arrivals[i - 1]).mul_f64(scale);
-            }
-            rec.arrival = arrival;
-            rec.timing = None; // timestamps no longer correspond to a device
-            out.push(rec)?;
+        for (req, gap) in IoRequest::iter_columns(cols).zip(gaps) {
+            arrival += gap.mul_f64(scale);
+            // No timing: the timestamps no longer correspond to a device.
+            out.push(BlockRecord::new(arrival, req.lba, req.sectors, req.op))?;
         }
         out.finish()
     }
@@ -262,17 +260,15 @@ impl Reconstructor for FixedThreshold {
         target.reset();
         // Idle before request i = thresholded gap after request i-1; the
         // first request (when any) gets none.
-        let arrivals = old.columns().arrivals();
-        let threshold = self.threshold;
-        let ops = old.iter_records().enumerate().map(|(i, rec)| ScheduledOp {
-            pre_delay: if i == 0 {
-                SimDuration::ZERO
-            } else {
-                (arrivals[i] - arrivals[i - 1]).saturating_sub(threshold)
-            },
-            request: IoRequest::from(&rec),
-            mode: IssueMode::Sync,
-        });
+        let cols = old.view();
+        let gaps = std::iter::once(SimDuration::ZERO).chain(cols.inter_arrivals());
+        let ops = IoRequest::iter_columns(cols)
+            .zip(gaps)
+            .map(|(request, gap)| ScheduledOp {
+                pre_delay: gap.saturating_sub(self.threshold),
+                request,
+                mode: IssueMode::Sync,
+            });
         let out = replay_into(target, ops, ReplayConfig::default(), sink, chunk)?;
         Ok(out.stats)
     }

@@ -18,15 +18,13 @@ fn idle_schedule<'a>(
     old: &'a Trace,
     tidle: &'a [SimDuration],
 ) -> impl Iterator<Item = ScheduledOp> + 'a {
-    old.iter_records()
-        .enumerate()
-        .map(move |(i, rec)| ScheduledOp {
-            pre_delay: if i == 0 {
-                SimDuration::ZERO
-            } else {
-                tidle[i - 1]
-            },
-            request: IoRequest::from(&rec),
+    debug_assert_eq!(tidle.len(), old.len(), "one idle time per request");
+    let pre_delays = std::iter::once(SimDuration::ZERO).chain(tidle.iter().copied());
+    IoRequest::iter_columns(old.view())
+        .zip(pre_delays)
+        .map(|(request, pre_delay)| ScheduledOp {
+            pre_delay,
+            request,
             mode: IssueMode::Sync,
         })
 }

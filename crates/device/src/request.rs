@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use tt_trace::time::{SimDuration, SimInstant};
-use tt_trace::{BlockRecord, OpType, SECTOR_BYTES};
+use tt_trace::{BlockRecord, Columns, OpType, SECTOR_BYTES};
 
 /// A block request as presented to a device model: what to do and where,
 /// with no timing attached (timing is the device's output, not input).
@@ -49,6 +49,32 @@ impl IoRequest {
     #[must_use]
     pub fn end_lba(&self) -> u64 {
         self.lba + u64::from(self.sectors)
+    }
+
+    /// The requests of a column view, in record order, built from the op,
+    /// LBA and sector columns alone — the arrival and timing columns are
+    /// never read. The one record→request conversion every schedule
+    /// builder over a trace shares.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use tt_device::IoRequest;
+    /// use tt_trace::{time::SimInstant, BlockRecord, OpType, TraceStore};
+    ///
+    /// let store = TraceStore::from_records(vec![
+    ///     BlockRecord::new(SimInstant::ZERO, 64, 8, OpType::Read),
+    ///     BlockRecord::new(SimInstant::from_usecs(3), 72, 16, OpType::Write),
+    /// ]);
+    /// let reqs: Vec<IoRequest> = IoRequest::iter_columns(store.view()).collect();
+    /// assert_eq!(reqs[1], IoRequest::new(OpType::Write, 72, 16));
+    /// ```
+    pub fn iter_columns(cols: Columns<'_>) -> impl ExactSizeIterator<Item = IoRequest> + '_ {
+        cols.ops()
+            .iter()
+            .zip(cols.lbas())
+            .zip(cols.sectors())
+            .map(|((&op, &lba), &sectors)| IoRequest::new(op, lba, sectors))
     }
 }
 

@@ -15,6 +15,25 @@
 //! [`FlashArray`] stripes a logical volume across several `FlashSsd`s in
 //! fixed-size chunks, completing when the slowest member finishes —
 //! RAID-0, like the paper's array.
+//!
+//! # Kernel
+//!
+//! Replay calls [`BlockDevice::service`] once per request, so the per-page
+//! loop is kept free of divisions. All page math runs in 512-byte sectors,
+//! never bytes, so no LBA can overflow it. [`FlashSsd::new`] precomputes
+//! two tables from the geometry:
+//!
+//! * the page → `(channel, plane)` map over one period of the round-robin
+//!   (`channels × dies × planes` pages). A request locates its first page
+//!   once; each following page steps one slot.
+//! * the channel transfer time of `0..=sectors_per_page` sectors, so the
+//!   partial first and last pages and the full pages between read their
+//!   transfer time instead of dividing by the channel bandwidth.
+//!
+//! [`FlashArray`]'s stripe split locates the first chunk the same way and
+//! steps member by member. The tables change no result: a frozen copy of
+//! the per-page-division kernel in this module's tests checks every
+//! outcome and bound against them.
 
 use serde::{Deserialize, Serialize};
 
@@ -96,6 +115,11 @@ impl FlashConfig {
         self.channels * self.dies_per_channel * self.planes_per_die
     }
 
+    /// Page size in 512-byte sectors.
+    fn page_sectors(&self) -> u64 {
+        u64::from(self.page_kb) * 1024 / SECTOR_BYTES
+    }
+
     fn channel_transfer(&self, bytes: u64) -> SimDuration {
         SimDuration::from_nanos(bytes * 1_000 / u64::from(self.channel_mb_s))
     }
@@ -115,14 +139,26 @@ pub struct FlashSsd {
     plane_free: Vec<SimInstant>,
     /// Page programs since the last GC pause (GC extension).
     writes_since_gc: u32,
+    /// `page_slots[page % total_planes]` = `(channel, plane index)` of a
+    /// page: one period of the channel → die → plane round-robin.
+    page_slots: Vec<(usize, usize)>,
+    /// `transfer[k]` = channel transfer time of `k` sectors, for
+    /// `k = 0..=sectors per page`.
+    transfer: Vec<SimDuration>,
 }
 
 impl FlashSsd {
+    /// Largest supported flash page, in KiB (64 MiB; real pages are
+    /// 4–64 KiB). The per-sector transfer table holds one entry per
+    /// sector of a page, so this bounds it at 1 MiB.
+    pub const MAX_PAGE_KB: u32 = 1 << 16;
+
     /// Creates an idle SSD.
     ///
     /// # Panics
     ///
-    /// Panics when any geometry field of `config` is zero.
+    /// Panics when any geometry field of `config` is zero, or when
+    /// `page_kb` exceeds [`FlashSsd::MAX_PAGE_KB`].
     #[must_use]
     pub fn new(config: FlashConfig) -> Self {
         assert!(
@@ -134,11 +170,36 @@ impl FlashSsd {
                 && config.host_link_mb_s > 0,
             "flash geometry fields must be non-zero"
         );
+        assert!(
+            config.page_kb <= Self::MAX_PAGE_KB,
+            "flash page of {} KiB exceeds the {} KiB limit",
+            config.page_kb,
+            Self::MAX_PAGE_KB
+        );
+        let (c, d, p) = (
+            config.channels,
+            config.dies_per_channel,
+            config.planes_per_die,
+        );
+        // Page k of a period sits on channel k % c, die (k / c) % d and
+        // plane k / (c·d): consecutive pages fan out over the channels
+        // first, then the dies, then the planes.
+        let page_slots = (0..config.total_planes())
+            .map(|k| {
+                let (channel, die, plane) = (k % c, (k / c) % d, k / (c * d));
+                (channel as usize, ((channel * d + die) * p + plane) as usize)
+            })
+            .collect();
+        let transfer = (0..=config.page_sectors())
+            .map(|k| config.channel_transfer(k * SECTOR_BYTES))
+            .collect();
         FlashSsd {
-            channel_free: vec![SimInstant::ZERO; config.channels as usize],
+            channel_free: vec![SimInstant::ZERO; c as usize],
             plane_free: vec![SimInstant::ZERO; config.total_planes() as usize],
             config,
             writes_since_gc: 0,
+            page_slots,
+            transfer,
         }
     }
 
@@ -148,73 +209,59 @@ impl FlashSsd {
         &self.config
     }
 
-    /// Maps a global page number to `(channel, plane_index)`.
-    fn locate(&self, page: u64) -> (usize, usize) {
-        let c = u64::from(self.config.channels);
-        let d = u64::from(self.config.dies_per_channel);
-        let p = u64::from(self.config.planes_per_die);
-        let channel = page % c;
-        let die = (page / c) % d;
-        let plane = (page / (c * d)) % p;
-        let plane_index = (channel * d + die) * p + plane;
-        (channel as usize, plane_index as usize)
-    }
-
-    /// Schedules one page operation; returns its completion instant.
-    fn schedule_page(
-        &mut self,
-        page: u64,
-        bytes_on_channel: u64,
-        is_read: bool,
-        start: SimInstant,
-    ) -> SimInstant {
-        let (ch, pl) = self.locate(page);
-        let xfer = self.config.channel_transfer(bytes_on_channel);
-        if is_read {
-            // Die senses the page, then the channel moves the data out.
-            let sense_start = self.plane_free[pl].max(start);
-            let sense_done = sense_start + self.config.read_latency;
-            let xfer_start = self.channel_free[ch].max(sense_done);
-            let done = xfer_start + xfer;
-            self.channel_free[ch] = done;
-            self.plane_free[pl] = done; // register held until transfer ends
-            done
-        } else {
-            // Channel moves data in, then the die programs.
-            let xfer_start = self.channel_free[ch].max(start);
-            let xfer_done = xfer_start + xfer;
-            self.channel_free[ch] = xfer_done;
-            let prog_start = self.plane_free[pl].max(xfer_done);
-            let mut done = prog_start + self.config.program_latency;
-            if self.config.gc_every_writes > 0 {
-                self.writes_since_gc += 1;
-                if self.writes_since_gc >= self.config.gc_every_writes {
-                    self.writes_since_gc = 0;
-                    done += self.config.gc_pause; // plane blocked by GC
-                }
-            }
-            self.plane_free[pl] = done;
-            done
-        }
+    /// Number of flash pages `request` touches.
+    fn pages_touched(&self, request: &IoRequest) -> u64 {
+        let page = self.config.page_sectors();
+        (request.lba % page + u64::from(request.sectors)).div_ceil(page)
     }
 }
 
 impl BlockDevice for FlashSsd {
     fn service(&mut self, request: &IoRequest, issue: SimInstant) -> ServiceOutcome {
-        let page_bytes = self.config.page_bytes();
-        let start_byte = request.lba * SECTOR_BYTES;
-        let end_byte = start_byte + request.bytes();
-        let first_page = start_byte / page_bytes;
-        let last_page = (end_byte - 1) / page_bytes;
+        // Page math runs in sectors: the first page is located once,
+        // and each following page steps one slot along the round-robin.
+        let page_sectors = self.config.page_sectors();
+        let period = self.page_slots.len();
+        let mut slot = ((request.lba / page_sectors) % period as u64) as usize;
+        let mut offset = request.lba % page_sectors;
+        let mut remaining = u64::from(request.sectors);
+        let is_read = request.op.is_read();
 
         let flash_start = issue + self.config.host_overhead;
         let mut last_done = flash_start;
-        for page in first_page..=last_page {
-            let page_start = page * page_bytes;
-            let page_end = page_start + page_bytes;
-            let covered = end_byte.min(page_end) - start_byte.max(page_start);
-            let done = self.schedule_page(page, covered, request.op.is_read(), flash_start);
+        while remaining > 0 {
+            let covered = (page_sectors - offset).min(remaining);
+            let (ch, pl) = self.page_slots[slot];
+            let xfer = self.transfer[covered as usize];
+            let done = if is_read {
+                // Die senses the page, then the channel moves the data out.
+                let sense_done = self.plane_free[pl].max(flash_start) + self.config.read_latency;
+                let done = self.channel_free[ch].max(sense_done) + xfer;
+                self.channel_free[ch] = done;
+                self.plane_free[pl] = done; // register held until transfer ends
+                done
+            } else {
+                // Channel moves data in, then the die programs.
+                let xfer_done = self.channel_free[ch].max(flash_start) + xfer;
+                self.channel_free[ch] = xfer_done;
+                let mut done = self.plane_free[pl].max(xfer_done) + self.config.program_latency;
+                if self.config.gc_every_writes > 0 {
+                    self.writes_since_gc += 1;
+                    if self.writes_since_gc >= self.config.gc_every_writes {
+                        self.writes_since_gc = 0;
+                        done += self.config.gc_pause; // plane blocked by GC
+                    }
+                }
+                self.plane_free[pl] = done;
+                done
+            };
             last_done = last_done.max(done);
+            remaining -= covered;
+            offset = 0;
+            slot += 1;
+            if slot == period {
+                slot = 0;
+            }
         }
 
         let internal = last_done - flash_start;
@@ -243,19 +290,15 @@ impl BlockDevice for FlashSsd {
         // programs can trip one). Completion is that chain plus the host
         // transfer that tops off Tcdel; the per-page dones (the new
         // channel/plane next-free instants) never exceed it.
-        let page_bytes = self.config.page_bytes();
-        let start_byte = request.lba * SECTOR_BYTES;
-        let end_byte = start_byte + request.bytes().max(1);
-        let num_pages = (end_byte - 1) / page_bytes - start_byte / page_bytes + 1;
-        let mut per_page = self.config.channel_transfer(page_bytes)
-            + self.config.read_latency.max(self.config.program_latency);
+        let full_page = self.transfer[self.transfer.len() - 1];
+        let mut per_page = full_page + self.config.read_latency.max(self.config.program_latency);
         if self.config.gc_every_writes > 0 && request.op.is_write() {
             per_page += self.config.gc_pause;
         }
         Some(
             self.config.host_overhead
                 + self.config.host_transfer(request.bytes())
-                + per_page * num_pages,
+                + per_page * self.pages_touched(request),
         )
     }
 
@@ -268,21 +311,14 @@ impl BlockDevice for FlashSsd {
     }
 
     fn fast_forward(&mut self, request: &IoRequest) {
-        // The only positional state is the GC write counter; replicate the
-        // per-page-program trajectory schedule_page would take.
+        // The only positional state is the GC write counter: one tick per
+        // page program, wrapping to zero at each pause.
         if self.config.gc_every_writes == 0 || !request.op.is_write() {
             return;
         }
-        let page_bytes = self.config.page_bytes();
-        let start_byte = request.lba * SECTOR_BYTES;
-        let end_byte = start_byte + request.bytes().max(1);
-        let num_pages = (end_byte - 1) / page_bytes - start_byte / page_bytes + 1;
-        for _ in 0..num_pages {
-            self.writes_since_gc += 1;
-            if self.writes_since_gc >= self.config.gc_every_writes {
-                self.writes_since_gc = 0;
-            }
-        }
+        let every = u64::from(self.config.gc_every_writes);
+        let ticks = u64::from(self.writes_since_gc) + self.pages_touched(request);
+        self.writes_since_gc = (ticks % every) as u32;
     }
 }
 
@@ -327,26 +363,36 @@ impl FlashArray {
     /// member-local sub-request)` pairs — the one definition of the
     /// array's striping; `service` and the snapshot contract both consume
     /// it, so they cannot drift apart.
+    ///
+    /// Chunk `i` of the volume lives on member `i % members`, at
+    /// member-local chunk `i / members`. The first chunk is located once;
+    /// each following chunk steps to the next member (and the next local
+    /// chunk row after the last member).
     fn split(&self, request: &IoRequest) -> impl Iterator<Item = (usize, IoRequest)> + 'static {
         let stripe = u64::from(self.stripe_sectors);
-        let n = self.members.len() as u64;
+        let n = self.members.len();
         let op = request.op;
-        let end = request.end_lba();
-        let mut lba = request.lba;
+        let chunk_index = request.lba / stripe;
+        let mut member = (chunk_index % n as u64) as usize;
+        let mut row_lba = (chunk_index / n as u64) * stripe;
+        let mut offset = request.lba % stripe;
+        let mut remaining = u64::from(request.sectors);
         std::iter::from_fn(move || {
-            if lba >= end {
+            if remaining == 0 {
                 return None;
             }
-            // Split at stripe boundaries; map chunk index round-robin.
-            let chunk_index = lba / stripe;
-            let chunk_end = (chunk_index + 1) * stripe;
-            let sub_end = chunk_end.min(end);
-            let member = (chunk_index % n) as usize;
-            // Member-local address: contiguous chunks of the member.
-            let local_lba = (chunk_index / n) * stripe + (lba % stripe);
-            let sub = IoRequest::new(op, local_lba, (sub_end - lba) as u32);
-            lba = sub_end;
-            Some((member, sub))
+            let len = (stripe - offset).min(remaining);
+            let item = (member, IoRequest::new(op, row_lba + offset, len as u32));
+            remaining -= len;
+            if remaining > 0 {
+                offset = 0;
+                member += 1;
+                if member == n {
+                    member = 0;
+                    row_lba += stripe;
+                }
+            }
+            Some(item)
         })
     }
 }
@@ -409,6 +455,7 @@ impl BlockDevice for FlashArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tt_trace::OpType;
 
     fn ssd() -> FlashSsd {
@@ -509,6 +556,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "exceeds the 65536 KiB limit")]
+    fn oversized_page_rejected() {
+        let _ = FlashSsd::new(FlashConfig {
+            page_kb: FlashSsd::MAX_PAGE_KB + 1,
+            ..FlashConfig::default()
+        });
+    }
+
+    #[test]
     #[should_panic(expected = "at least one member")]
     fn zero_member_array_rejected() {
         let _ = FlashArray::new(FlashConfig::default(), 0, 128);
@@ -570,12 +626,324 @@ mod tests {
     #[test]
     fn page_mapping_covers_all_planes() {
         let d = ssd();
-        let total = d.config.total_planes() as usize;
-        let mut seen = vec![false; total];
-        for page in 0..total as u64 {
-            let (_, pl) = d.locate(page);
+        let mut seen = vec![false; d.config.total_planes() as usize];
+        for &(_, pl) in &d.page_slots {
             seen[pl] = true;
         }
         assert!(seen.iter().all(|&s| s), "round-robin missed a plane");
+        for page in 0..3 * d.page_slots.len() as u64 {
+            let slot = d.page_slots[page as usize % d.page_slots.len()];
+            assert_eq!(slot, reference::locate(&d.config, page), "page {page}");
+        }
+    }
+
+    /// The flash kernel as it stood before the per-page tables: byte
+    /// arithmetic, a full `locate` per page and a division per channel
+    /// transfer. Frozen here so the table-driven kernel is checked against
+    /// it outcome for outcome.
+    mod reference {
+        use super::*;
+
+        pub fn locate(config: &FlashConfig, page: u64) -> (usize, usize) {
+            let c = u64::from(config.channels);
+            let d = u64::from(config.dies_per_channel);
+            let p = u64::from(config.planes_per_die);
+            let channel = page % c;
+            let die = (page / c) % d;
+            let plane = (page / (c * d)) % p;
+            let plane_index = (channel * d + die) * p + plane;
+            (channel as usize, plane_index as usize)
+        }
+
+        #[derive(Clone)]
+        pub struct Ssd {
+            config: FlashConfig,
+            channel_free: Vec<SimInstant>,
+            plane_free: Vec<SimInstant>,
+            writes_since_gc: u32,
+        }
+
+        impl Ssd {
+            pub fn new(config: FlashConfig) -> Self {
+                Ssd {
+                    channel_free: vec![SimInstant::ZERO; config.channels as usize],
+                    plane_free: vec![SimInstant::ZERO; config.total_planes() as usize],
+                    config,
+                    writes_since_gc: 0,
+                }
+            }
+
+            fn schedule_page(
+                &mut self,
+                page: u64,
+                bytes_on_channel: u64,
+                is_read: bool,
+                start: SimInstant,
+            ) -> SimInstant {
+                let (ch, pl) = locate(&self.config, page);
+                let xfer = self.config.channel_transfer(bytes_on_channel);
+                if is_read {
+                    let sense_start = self.plane_free[pl].max(start);
+                    let sense_done = sense_start + self.config.read_latency;
+                    let xfer_start = self.channel_free[ch].max(sense_done);
+                    let done = xfer_start + xfer;
+                    self.channel_free[ch] = done;
+                    self.plane_free[pl] = done;
+                    done
+                } else {
+                    let xfer_start = self.channel_free[ch].max(start);
+                    let xfer_done = xfer_start + xfer;
+                    self.channel_free[ch] = xfer_done;
+                    let prog_start = self.plane_free[pl].max(xfer_done);
+                    let mut done = prog_start + self.config.program_latency;
+                    if self.config.gc_every_writes > 0 {
+                        self.writes_since_gc += 1;
+                        if self.writes_since_gc >= self.config.gc_every_writes {
+                            self.writes_since_gc = 0;
+                            done += self.config.gc_pause;
+                        }
+                    }
+                    self.plane_free[pl] = done;
+                    done
+                }
+            }
+
+            pub fn service(&mut self, request: &IoRequest, issue: SimInstant) -> ServiceOutcome {
+                let page_bytes = self.config.page_bytes();
+                let start_byte = request.lba * SECTOR_BYTES;
+                let end_byte = start_byte + request.bytes();
+                let first_page = start_byte / page_bytes;
+                let last_page = (end_byte - 1) / page_bytes;
+                let flash_start = issue + self.config.host_overhead;
+                let mut last_done = flash_start;
+                for page in first_page..=last_page {
+                    let page_start = page * page_bytes;
+                    let page_end = page_start + page_bytes;
+                    let covered = end_byte.min(page_end) - start_byte.max(page_start);
+                    let done = self.schedule_page(page, covered, request.op.is_read(), flash_start);
+                    last_done = last_done.max(done);
+                }
+                let internal = last_done - flash_start;
+                let channel_delay =
+                    self.config.host_overhead + self.config.host_transfer(request.bytes());
+                ServiceOutcome::new(SimDuration::ZERO, channel_delay, internal)
+            }
+
+            pub fn service_bound(&self, request: &IoRequest) -> SimDuration {
+                let page_bytes = self.config.page_bytes();
+                let start_byte = request.lba * SECTOR_BYTES;
+                let end_byte = start_byte + request.bytes().max(1);
+                let num_pages = (end_byte - 1) / page_bytes - start_byte / page_bytes + 1;
+                let mut per_page = self.config.channel_transfer(page_bytes)
+                    + self.config.read_latency.max(self.config.program_latency);
+                if self.config.gc_every_writes > 0 && request.op.is_write() {
+                    per_page += self.config.gc_pause;
+                }
+                self.config.host_overhead
+                    + self.config.host_transfer(request.bytes())
+                    + per_page * num_pages
+            }
+
+            pub fn busy_bound(&self) -> SimInstant {
+                let mut latest = SimInstant::ZERO;
+                for &t in self.channel_free.iter().chain(&self.plane_free) {
+                    latest = latest.max(t);
+                }
+                latest
+            }
+
+            pub fn fast_forward(&mut self, request: &IoRequest) {
+                if self.config.gc_every_writes == 0 || !request.op.is_write() {
+                    return;
+                }
+                let page_bytes = self.config.page_bytes();
+                let start_byte = request.lba * SECTOR_BYTES;
+                let end_byte = start_byte + request.bytes().max(1);
+                let num_pages = (end_byte - 1) / page_bytes - start_byte / page_bytes + 1;
+                for _ in 0..num_pages {
+                    self.writes_since_gc += 1;
+                    if self.writes_since_gc >= self.config.gc_every_writes {
+                        self.writes_since_gc = 0;
+                    }
+                }
+            }
+        }
+
+        pub struct Array {
+            pub members: Vec<Ssd>,
+            stripe_sectors: u32,
+        }
+
+        impl Array {
+            pub fn new(config: FlashConfig, members: u32, stripe_kb: u32) -> Self {
+                Array {
+                    members: (0..members).map(|_| Ssd::new(config)).collect(),
+                    stripe_sectors: stripe_kb * 1024 / SECTOR_BYTES as u32,
+                }
+            }
+
+            pub fn split(&self, request: &IoRequest) -> Vec<(usize, IoRequest)> {
+                let stripe = u64::from(self.stripe_sectors);
+                let n = self.members.len() as u64;
+                let end = request.end_lba();
+                let mut lba = request.lba;
+                let mut out = Vec::new();
+                while lba < end {
+                    let chunk_index = lba / stripe;
+                    let chunk_end = (chunk_index + 1) * stripe;
+                    let sub_end = chunk_end.min(end);
+                    let member = (chunk_index % n) as usize;
+                    let local_lba = (chunk_index / n) * stripe + (lba % stripe);
+                    out.push((
+                        member,
+                        IoRequest::new(request.op, local_lba, (sub_end - lba) as u32),
+                    ));
+                    lba = sub_end;
+                }
+                out
+            }
+
+            pub fn service(&mut self, request: &IoRequest, issue: SimInstant) -> ServiceOutcome {
+                let mut complete = issue;
+                let mut max_cdel = SimDuration::ZERO;
+                for (member, sub) in self.split(request) {
+                    let out = self.members[member].service(&sub, issue);
+                    complete = complete.max(out.complete_at(issue));
+                    max_cdel = max_cdel.max(out.channel_delay);
+                }
+                let total = complete - issue;
+                ServiceOutcome::new(SimDuration::ZERO, max_cdel, total.saturating_sub(max_cdel))
+            }
+
+            pub fn service_bound(&self, request: &IoRequest) -> SimDuration {
+                let mut total = SimDuration::ZERO;
+                for (member, sub) in self.split(request) {
+                    total += self.members[member].service_bound(&sub);
+                }
+                total
+            }
+
+            pub fn busy_bound(&self) -> SimInstant {
+                let mut latest = SimInstant::ZERO;
+                for m in &self.members {
+                    latest = latest.max(m.busy_bound());
+                }
+                latest
+            }
+
+            pub fn fast_forward(&mut self, request: &IoRequest) {
+                for (member, sub) in self.split(request) {
+                    self.members[member].fast_forward(&sub);
+                }
+            }
+        }
+    }
+
+    /// Deterministic 64-bit LCG for request streams.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            self.0 >> 11
+        }
+    }
+
+    /// A request stream mixing small and multi-page requests, stripe
+    /// crossings, re-reads of hot LBAs and LBAs up to the old kernel's
+    /// `lba·512 < 2⁶⁴` bound (less a page), with bursty gaps.
+    fn stream(seed: u64, len: usize) -> Vec<(IoRequest, SimDuration)> {
+        let mut lcg = Lcg(seed);
+        (0..len)
+            .map(|_| {
+                let op = if lcg.next().is_multiple_of(3) {
+                    OpType::Write
+                } else {
+                    OpType::Read
+                };
+                let sectors = match lcg.next() % 4 {
+                    0 => 1 + (lcg.next() % 8) as u32,
+                    1 => 8 * (1 + (lcg.next() % 64) as u32),
+                    2 => 1 + (lcg.next() % 4096) as u32,
+                    _ => 1 + (lcg.next() % 70_000) as u32,
+                };
+                // The old kernel's own bound: the byte address of the end
+                // of the last page touched must fit in a u64.
+                let max_end = u64::MAX / SECTOR_BYTES - 1024;
+                let lba = match lcg.next() % 4 {
+                    0 => lcg.next() % 4096,
+                    1 => lcg.next() % 100_000_000,
+                    2 => max_end - u64::from(sectors) - lcg.next() % 10_000,
+                    _ => lcg.next() % (max_end - u64::from(sectors)),
+                };
+                let gap = match lcg.next() % 5 {
+                    0 => SimDuration::from_nanos(lcg.next() % 20_000_000),
+                    _ => SimDuration::from_nanos(lcg.next() % 50_000),
+                };
+                (IoRequest::new(op, lba, sectors), gap)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The table-driven kernel equals the frozen reference on every
+        /// outcome, every service bound and every busy bound, for random
+        /// geometries (non-power-of-two stripes and pages included), GC on
+        /// and off, and fast-forwarded prefixes.
+        #[test]
+        fn kernel_matches_reference(
+            geometry in (1u32..20, 1u32..5, 1u32..5, 1u32..40, 1u32..7, 1u32..300),
+            timing in (1u64..200, 1u64..2_000, 1u32..2_000, 1u32..5_000, 0u32..12),
+            seed in 0u64..u64::MAX,
+        ) {
+            let (channels, dies, planes, page_kb, members, stripe_kb) = geometry;
+            let (read_us, prog_us, channel_mb_s, host_link_mb_s, gc_every) = timing;
+            let config = FlashConfig {
+                channels,
+                dies_per_channel: dies,
+                planes_per_die: planes,
+                page_kb,
+                read_latency: SimDuration::from_usecs(read_us),
+                program_latency: SimDuration::from_usecs(prog_us),
+                channel_mb_s,
+                host_overhead: SimDuration::from_nanos(seed % 10_000),
+                host_link_mb_s,
+                gc_every_writes: gc_every % 6,
+                gc_pause: SimDuration::from_usecs(1 + seed % 3_000),
+            };
+            let mut ssd = FlashSsd::new(config);
+            let mut ssd_ref = reference::Ssd::new(config);
+            let mut array = FlashArray::new(config, members, stripe_kb);
+            let mut array_ref = reference::Array::new(config, members, stripe_kb);
+            let mut clock = SimInstant::ZERO;
+            for (i, (req, gap)) in stream(seed, 60).into_iter().enumerate() {
+                clock += gap;
+                if i % 7 == 3 {
+                    // Positional state only: both kernels skip the timing.
+                    ssd.fast_forward(&req);
+                    ssd_ref.fast_forward(&req);
+                    array.fast_forward(&req);
+                    array_ref.fast_forward(&req);
+                    continue;
+                }
+                prop_assert_eq!(ssd.service_bound(&req), Some(ssd_ref.service_bound(&req)));
+                prop_assert_eq!(ssd.service(&req, clock), ssd_ref.service(&req, clock), "{:?}", req);
+                prop_assert_eq!(ssd.busy_bound(), Some(ssd_ref.busy_bound()));
+                prop_assert_eq!(array.service_bound(&req), Some(array_ref.service_bound(&req)));
+                prop_assert_eq!(
+                    array.split(&req).collect::<Vec<_>>(),
+                    array_ref.split(&req),
+                    "{:?}",
+                    req
+                );
+                prop_assert_eq!(array.service(&req, clock), array_ref.service(&req, clock), "{:?}", req);
+                prop_assert_eq!(array.busy_bound(), Some(array_ref.busy_bound()));
+            }
+        }
     }
 }

@@ -124,9 +124,9 @@ impl Schedule {
     /// schedule building runs identically off an owned trace or a
     /// memory-mapped `.ttb` file ([`MmapTrace`](tt_trace::MmapTrace)).
     pub fn closed_loop_ops_columns(cols: Columns<'_>) -> impl Iterator<Item = ScheduledOp> + '_ {
-        cols.iter().map(|rec| ScheduledOp {
+        IoRequest::iter_columns(cols).map(|request| ScheduledOp {
             pre_delay: SimDuration::ZERO,
-            request: IoRequest::from(&rec),
+            request,
             mode: IssueMode::Sync,
         })
     }
@@ -168,19 +168,14 @@ impl Schedule {
             time_scale.is_finite() && time_scale >= 0.0,
             "time scale must be finite and non-negative, got {time_scale}"
         );
-        let arrivals = cols.arrivals();
-        cols.iter().enumerate().map(move |(i, rec)| {
-            let gap = if i == 0 {
-                SimDuration::ZERO
-            } else {
-                arrivals[i] - arrivals[i - 1]
-            };
-            ScheduledOp {
+        let gaps = std::iter::once(SimDuration::ZERO).chain(cols.inter_arrivals());
+        IoRequest::iter_columns(cols)
+            .zip(gaps)
+            .map(move |(request, gap)| ScheduledOp {
                 pre_delay: gap.mul_f64(time_scale),
-                request: IoRequest::from(&rec),
+                request,
                 mode: IssueMode::Async,
-            }
-        })
+            })
     }
 
     /// **Open-loop** schedule from an existing trace
@@ -210,12 +205,11 @@ impl Schedule {
     pub fn with_idle_times(trace: &Trace, idle: &[SimDuration], modes: &[IssueMode]) -> Self {
         assert_eq!(idle.len(), trace.len(), "one idle time per request");
         assert_eq!(modes.len(), trace.len(), "one mode per request");
-        let ops = trace
-            .iter_records()
+        let ops = IoRequest::iter_columns(trace.view())
             .zip(idle.iter().zip(modes))
-            .map(|(rec, (&pre_delay, &mode))| ScheduledOp {
+            .map(|(request, (&pre_delay, &mode))| ScheduledOp {
                 pre_delay,
-                request: IoRequest::from(&rec),
+                request,
                 mode,
             })
             .collect();

@@ -365,6 +365,12 @@ impl ParsedLine {
         if sectors == 0 {
             return Err(TraceError::parse_at("sectors must be non-zero", lineno));
         }
+        if !BlockRecord::extent_fits(lba, sectors) {
+            return Err(TraceError::parse_at(
+                format!("extent lba {lba} + {sectors} sectors overflows the LBA space"),
+                lineno,
+            ));
+        }
         Ok(ParsedLine {
             time: SimInstant::from_nanos(ns as u64),
             action,
@@ -437,6 +443,19 @@ mod tests {
         let text = "8,0 0 1 0.0 1 C R 64 + 8\n";
         let err = read_blk(text.as_bytes(), "x").unwrap_err();
         assert!(err.to_string().contains("no matching Q"));
+    }
+
+    #[test]
+    fn rejects_overflowing_extents() {
+        let text = format!(
+            "8,0 0 1 0.0 1 Q R 64 + 8\n8,0 0 2 0.5 1 Q W {} + 8\n",
+            u64::MAX
+        );
+        let err = read_blk(text.as_bytes(), "x").unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("line 2") && msg.contains("overflows"), "{msg}");
+        let text = format!("8,0 0 1 0.0 1 Q R {} + 8\n", u64::MAX - 8);
+        assert_eq!(read_blk(text.as_bytes(), "x").unwrap().len(), 1);
     }
 
     #[test]

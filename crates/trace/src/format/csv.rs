@@ -23,11 +23,12 @@
 //!
 //! * **Decode.** A line whose fields are all canonical — a timestamp of
 //!   the form `digits{1,12}[.digits{1,3}]`, an op of exactly `R` or `W`,
-//!   decimal `lba`/`sectors` that fit their types with non-zero sectors,
-//!   and (with timing) completion no earlier than issue — converts straight
-//!   to integers. Every other line (whitespace, `+`, exponents, more than
-//!   3 fraction digits, 13+ integer digits, `r`/`read`, zero sectors,
-//!   inverted timing, comments, blanks) takes the general `f64` parser,
+//!   decimal `lba`/`sectors` that fit their types with non-zero sectors
+//!   and an extent `lba + sectors` that fits in `u64`, and (with timing)
+//!   completion no earlier than issue — converts straight to integers.
+//!   Every other line (whitespace, `+`, exponents, more than 3 fraction
+//!   digits, 13+ integer digits, `r`/`read`, zero sectors, overflowing
+//!   extents, inverted timing, comments, blanks) takes the general `f64` parser,
 //!   which owns every error message and line number. The two paths agree
 //!   on every canonical line: its timestamps are below 10^15 ns, where
 //!   `(f64 parse × 1000).round()` lands within 0.2 ns of the exact value
@@ -299,6 +300,12 @@ fn parse_line(line: &str, lineno: usize) -> Result<BlockRecord, TraceError> {
     if sectors == 0 {
         return Err(TraceError::parse_at("sectors must be non-zero", lineno));
     }
+    if !BlockRecord::extent_fits(lba, sectors) {
+        return Err(TraceError::parse_at(
+            format!("extent lba {lba} + {sectors} sectors overflows the LBA space"),
+            lineno,
+        ));
+    }
 
     let mut rec = BlockRecord::new(arrival, lba, sectors, op);
     if fields.len() == 6 {
@@ -356,7 +363,7 @@ fn parse_canonical(line: &[u8]) -> Option<BlockRecord> {
     let lba = canonical_uint(fields.next()?)?;
     let sectors = u32::try_from(canonical_uint(fields.next()?)?)
         .ok()
-        .filter(|&s| s != 0)?;
+        .filter(|&s| s != 0 && BlockRecord::extent_fits(lba, s))?;
     let rec = BlockRecord::new(arrival, lba, sectors, op);
     match (fields.next(), fields.next(), fields.next()) {
         (None, _, _) => Some(rec),
@@ -476,6 +483,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_overflowing_extents() {
+        let max = u64::MAX;
+        for line in [format!("0.000,R,{max},8"), format!("0.000,W,{},2", max - 1)] {
+            let text = format!("1.0,R,0,8\n{line}\n");
+            let err = read_csv(text.as_bytes(), "x").unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("line 2") && msg.contains("overflows"), "{msg}");
+        }
+        // The last sector of the LBA space is still addressable.
+        let text = format!("0.000,R,{},8\n", max - 8);
+        assert_eq!(read_csv(text.as_bytes(), "x").unwrap().len(), 1);
+    }
+
+    #[test]
     fn rejects_negative_timestamp() {
         let err = read_csv("-1.0,R,0,8\n".as_bytes(), "x").unwrap_err();
         assert!(err.to_string().contains("non-negative"));
@@ -500,7 +521,7 @@ mod tests {
     fn canonical_and_general_parsers_agree() {
         let lines = [
             "0,R,0,1",
-            "7.5,W,18446744073709551615,4294967295",
+            "7.5,W,18446744069414584320,4294967295",
             "999999999999.999,R,1,8,999999999999.999,999999999999.999",
             "000012.010,W,0010,08,13.1,14",
             "1.0,R,0,8\r\n",
@@ -523,6 +544,7 @@ mod tests {
             "1.0,R,0,0",
             "1.0,R,0,4294967296",
             "1.0,R,18446744073709551616,8",
+            "1.0,R,18446744073709551615,1",
             "1.0,R,0,8,5.0,2.0",
             "1.0,R,0,8,",
             "1.0,R,0,8,1.0",

@@ -556,11 +556,14 @@ fn read_block<R: Read>(
     read_column(r, scratch, n * 4, "the sector column", |bytes| {
         for c in bytes.chunks_exact(4) {
             let s = u32::from_le_bytes(le_bytes::<4>(c));
+            let i = sectors.len();
             if s == 0 {
                 return Err(TraceError::parse(format!(
-                    "corrupt TTB block: zero-sector record at block offset {}",
-                    sectors.len()
+                    "corrupt TTB block: zero-sector record at block offset {i}"
                 )));
+            }
+            if !BlockRecord::extent_fits(lbas[i], s) {
+                return Err(overflowing_extent(i));
             }
             sectors.push(s);
         }
@@ -665,6 +668,13 @@ fn u64s(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
     bytes
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(le_bytes::<8>(c)))
+}
+
+/// The error for a record whose extent `lba + sectors` overflows `u64`.
+fn overflowing_extent(i: usize) -> TraceError {
+    TraceError::parse(format!(
+        "corrupt TTB block: LBA extent overflows u64 at block offset {i}"
+    ))
 }
 
 /// Validates a decoded timing pair ([`ServiceTiming::new`] would panic on
@@ -1226,7 +1236,7 @@ fn map_layout(bytes: &[u8]) -> Result<Option<Repr>, TraceError> {
     let arrivals_start = cur.pos;
     let arrivals_bytes = cur.take(n * 8, "the arrival column")?;
     let lbas_start = cur.pos;
-    cur.take(n * 8, "the LBA column")?;
+    let lbas_bytes = cur.take(n * 8, "the LBA column")?;
     let sectors_start = cur.pos;
     let sectors_bytes = cur.take(n * 4, "the sector column")?;
     let ops_start = cur.pos;
@@ -1249,6 +1259,12 @@ fn map_layout(bytes: &[u8]) -> Result<Option<Repr>, TraceError> {
         return Err(TraceError::parse(format!(
             "corrupt TTB block: zero-sector record at block offset {bad}"
         )));
+    }
+    if let Some(bad) = unaligned_u64s(lbas_bytes)
+        .zip(sectors_bytes.chunks_exact(4))
+        .position(|(lba, s)| !BlockRecord::extent_fits(lba, u32::from_le_bytes(le_bytes::<4>(s))))
+    {
+        return Err(overflowing_extent(bad));
     }
 
     // Timing section: always decoded owned (the disk layout differs from
@@ -1542,6 +1558,30 @@ mod tests {
         buf[issue_off..issue_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         let err = read_ttb(buf.as_slice(), "t").unwrap_err();
         assert!(err.to_string().contains("precedes issue"), "{err}");
+    }
+
+    #[test]
+    fn rejects_overflowing_extents() {
+        // The writer does not validate extents, so a hostile file is one
+        // write away; every reader must refuse it.
+        let hostile =
+            Trace::from_records(TraceMeta::named("t"), vec![rec(0, 0), rec(1, u64::MAX - 7)]);
+        let mut buf = Vec::new();
+        write_ttb(&hostile, &mut buf).unwrap();
+        let err = read_ttb(buf.as_slice(), "t").unwrap_err();
+        assert!(err.to_string().contains("block offset 1"), "{err}");
+        let mut source = TtbSource::new(buf.as_slice());
+        let err = collect_source(&mut source, TraceMeta::named("t"), 64).unwrap_err();
+        assert!(err.to_string().contains("extent overflows"), "{err}");
+        let err = MmapTrace::from_map(crate::mmap::Mmap::from_bytes(buf), "t").unwrap_err();
+        assert!(err.to_string().contains("extent overflows"), "{err}");
+
+        // The last sector of the LBA space is still addressable.
+        let edge = Trace::from_records(TraceMeta::named("t"), vec![rec(0, u64::MAX - 8)]);
+        let mut buf = Vec::new();
+        write_ttb(&edge, &mut buf).unwrap();
+        let back = read_ttb(buf.as_slice(), "t").unwrap();
+        assert_eq!(back.columns(), edge.columns());
     }
 
     #[test]

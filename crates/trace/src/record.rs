@@ -140,6 +140,15 @@ impl BlockRecord {
         self.lba + u64::from(self.sectors)
     }
 
+    /// `true` when a request of `sectors` sectors at `lba` ends inside the
+    /// `u64` LBA space, i.e. `lba + sectors` does not overflow. Every
+    /// decoder rejects records that fail this, so [`BlockRecord::end_lba`]
+    /// and the device models never wrap on decoded input.
+    #[must_use]
+    pub(crate) const fn extent_fits(lba: u64, sectors: u32) -> bool {
+        lba.checked_add(sectors as u64).is_some()
+    }
+
     /// `true` when this request starts exactly where `prev` ended — the
     /// sequentiality test used for grouping (§III "sequential vs. random").
     #[must_use]

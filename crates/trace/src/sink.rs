@@ -229,7 +229,7 @@ impl TraceSink {
 
 impl RecordSink for TraceSink {
     fn push_chunk(&mut self, records: &[BlockRecord]) -> Result<(), TraceError> {
-        self.store.extend(records.iter().copied());
+        self.store.extend_from_slice(records);
         Ok(())
     }
 

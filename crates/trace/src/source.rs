@@ -96,7 +96,7 @@ pub fn collect_source<S: RecordSource + ?Sized>(
         if n == 0 {
             break;
         }
-        store.extend(buf.drain(..));
+        store.extend_from_slice(&buf);
     }
     Ok(Trace::from_store(meta, store))
 }

@@ -72,9 +72,7 @@ impl TraceStore {
     #[must_use]
     pub fn from_records(records: Vec<BlockRecord>) -> Self {
         let mut store = TraceStore::with_capacity(records.len());
-        for rec in records {
-            store.push(rec);
-        }
+        store.extend_from_slice(&records);
         store
     }
 
@@ -89,9 +87,10 @@ impl TraceStore {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::InvalidRecord`] when column lengths disagree
-    /// or a sector count is zero (zero-length block requests do not occur
-    /// in real traces and would poison the size-based grouping).
+    /// Returns [`TraceError::InvalidRecord`] when column lengths disagree,
+    /// a sector count is zero (zero-length block requests do not occur
+    /// in real traces and would poison the size-based grouping), or an
+    /// extent `lba + sectors` overflows `u64`.
     ///
     /// # Examples
     ///
@@ -143,6 +142,19 @@ impl TraceStore {
                 "block request must cover at least one sector",
             ));
         }
+        if let Some(bad) = lbas
+            .iter()
+            .zip(&sectors)
+            .position(|(&lba, &s)| !BlockRecord::extent_fits(lba, s))
+        {
+            return Err(TraceError::invalid_record(
+                bad,
+                format!(
+                    "extent lba {} + {} sectors overflows the LBA space",
+                    lbas[bad], sectors[bad]
+                ),
+            ));
+        }
         let timed = timings.iter().filter(|t| t.is_some()).count();
         if timed == 0 {
             timings = Vec::new();
@@ -183,6 +195,27 @@ impl TraceStore {
             self.timings.push(rec.timing);
         }
         self.timed += usize::from(rec.timing.is_some());
+    }
+
+    /// Appends a slice of records column by column — the chunk-at-a-time
+    /// form of [`TraceStore::push`], with an identical result. Each column
+    /// is filled in one pass, and the timing column is touched only when
+    /// it already exists or the chunk carries a timed record.
+    pub fn extend_from_slice(&mut self, records: &[BlockRecord]) {
+        let before = self.len();
+        self.arrivals.extend(records.iter().map(|r| r.arrival));
+        self.lbas.extend(records.iter().map(|r| r.lba));
+        self.sectors.extend(records.iter().map(|r| r.sectors));
+        self.ops.extend(records.iter().map(|r| r.op));
+        if self.timings.is_empty() {
+            if records.iter().all(|r| r.timing.is_none()) {
+                return;
+            }
+            // First timed chunk: backfill the records stored before it.
+            self.timings.resize(before, None);
+        }
+        self.timings.extend(records.iter().map(|r| r.timing));
+        self.timed += records.iter().filter(|r| r.timing.is_some()).count();
     }
 
     /// The arrival-timestamp column.
@@ -646,6 +679,70 @@ mod tests {
             matches!(err, TraceError::InvalidRecord { index: 1, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn slice_append_equals_per_record_push() {
+        // Deterministic LCG: timed/untimed mixes and chunk cuts.
+        let mut state = 0x5EED_u64;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) % m
+        };
+        for case in 0..200 {
+            let n = next(40) as usize;
+            // Case 0 mod 4: every record timed, so the first chunk is
+            // all timed; otherwise a random mix (including none timed).
+            let rows: Vec<BlockRecord> = (0..n as u64)
+                .map(|i| match (case % 4, next(3)) {
+                    (0, _) | (_, 0) => timed(i),
+                    _ => rec(i, i * 8),
+                })
+                .collect();
+            let mut by_push = TraceStore::new();
+            for &r in &rows {
+                by_push.push(r);
+            }
+            let mut by_slice = TraceStore::new();
+            let mut at = 0;
+            while at < n {
+                let end = (at + next(9) as usize).min(n);
+                by_slice.extend_from_slice(&rows[at..end]);
+                at = end;
+            }
+            assert_eq!(by_slice, by_push, "case {case}");
+            assert_eq!(by_slice.timed_count(), by_push.timed_count());
+            assert_eq!(TraceStore::from_records(rows), by_push, "case {case}");
+        }
+    }
+
+    #[test]
+    fn slice_append_of_all_timed_first_chunk_keeps_timings() {
+        let mut store = TraceStore::new();
+        store.extend_from_slice(&[timed(0), timed(1)]);
+        store.extend_from_slice(&[rec(2, 0)]);
+        assert_eq!(store.timing_column().len(), 3);
+        assert_eq!(store.timed_count(), 2);
+        assert!(store.timing(0).is_some() && store.timing(2).is_none());
+    }
+
+    #[test]
+    fn from_columns_rejects_overflowing_extents() {
+        let err = TraceStore::from_columns(
+            vec![SimInstant::ZERO, SimInstant::from_usecs(1)],
+            vec![u64::MAX - 8, u64::MAX - 7],
+            vec![8, 8],
+            vec![OpType::Read, OpType::Write],
+            Vec::new(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, TraceError::InvalidRecord { index: 1, .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]

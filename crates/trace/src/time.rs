@@ -282,7 +282,11 @@ impl SimDuration {
 
     /// Scales the duration by a non-negative float, rounding to nanoseconds.
     ///
-    /// Used by the Acceleration reconstructor (`Tintt / factor`).
+    /// Used by the Acceleration reconstructor (`Tintt / factor`) and by
+    /// open-loop replay, whose default factor is `1.0`. That case returns
+    /// the value unchanged below 2⁵³ ns, where every integer is an exact
+    /// `f64` and the float path would round-trip it anyway — the identity
+    /// skips the `round` call on every open-loop op.
     ///
     /// # Panics
     ///
@@ -293,6 +297,9 @@ impl SimDuration {
             factor.is_finite() && factor >= 0.0,
             "scale factor must be finite and non-negative, got {factor}"
         );
+        if factor == 1.0 && self.0 < 1 << f64::MANTISSA_DIGITS {
+            return self;
+        }
         SimDuration((self.0 as f64 * factor).round() as u64)
     }
 
@@ -487,6 +494,25 @@ mod tests {
         assert_eq!(d.mul_f64(0.25), SimDuration::from_nanos(3)); // 2.5 rounds up
         assert_eq!(d.mul_f64(2.0), SimDuration::from_nanos(20));
         assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn mul_f64_identity_equals_general_path() {
+        let general = |ns: u64| SimDuration::from_nanos((ns as f64 * 1.0).round() as u64);
+        let edge = 1u64 << 53;
+        for ns in [0, 1, 12_345, edge - 1, edge, edge + 1, edge + 3, u64::MAX] {
+            let d = SimDuration::from_nanos(ns);
+            assert_eq!(d.mul_f64(1.0), general(ns), "{ns} ns");
+        }
+        // Below 2^53 the identity is exact; above it both paths round.
+        assert_eq!(
+            SimDuration::from_nanos(edge - 1).mul_f64(1.0).as_nanos(),
+            edge - 1
+        );
+        assert_eq!(
+            SimDuration::from_nanos(edge + 1).mul_f64(1.0).as_nanos(),
+            edge
+        );
     }
 
     #[test]
